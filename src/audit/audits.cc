@@ -23,6 +23,7 @@ auditDecoupledSet(const DecoupledSet &set, bool require_full_charge,
 {
     const auto &entries = set.entries();
     unsigned segment_sum = 0;
+    unsigned valid = 0;
     bool seen_invalid = false;
 
     for (unsigned i = 0; i < entries.size(); ++i) {
@@ -80,8 +81,15 @@ auditDecoupledSet(const DecoupledSet &set, bool require_full_charge,
             }
         }
         segment_sum += e.segments;
+        ++valid;
     }
 
+    if (valid != set.validCount()) {
+        why = auditFormat(
+            "valid-count drift: %u valid tags but validCount() = %u",
+            valid, set.validCount());
+        return false;
+    }
     if (segment_sum != set.usedSegments()) {
         why = auditFormat(
             "segment accounting drift: sum over valid tags = %u but "

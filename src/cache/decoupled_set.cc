@@ -44,6 +44,7 @@ void
 DecoupledSet::retireTag(std::vector<TagEntry>::iterator it)
 {
     used_segments_ -= it->segments;
+    --valid_count_;
     // Leave a victim tag: address only, all other state cleared.
     it->valid = false;
     it->dirty = false;
@@ -115,6 +116,7 @@ DecoupledSet::insert(const TagEntry &entry)
     std::rotate(entries_.begin(), fwd, fwd + 1);
     entries_.front() = entry;
     used_segments_ += entry.segments;
+    ++valid_count_;
     return evicted;
 }
 
@@ -192,15 +194,6 @@ unsigned
 DecoupledSet::usedSegments() const
 {
     return used_segments_;
-}
-
-unsigned
-DecoupledSet::validCount() const
-{
-    unsigned n = 0;
-    for (const auto &e : entries_)
-        n += e.valid;
-    return n;
 }
 
 unsigned

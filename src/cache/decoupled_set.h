@@ -36,7 +36,8 @@ namespace cmpsim {
  *    tags and empty tags always sit behind every valid entry;
  *  - the sum of valid entries' segment counts equals usedSegments()
  *    and never exceeds segmentBudget();
- *  - no two valid entries share a line address.
+ *  - no two valid entries share a line address;
+ *  - validCount() equals the number of valid entries.
  */
 class DecoupledSet
 {
@@ -92,8 +93,8 @@ class DecoupledSet
     /** Sum of segments over valid entries. */
     unsigned usedSegments() const;
 
-    /** Number of valid entries. */
-    unsigned validCount() const;
+    /** Number of valid entries (a running count; O(1)). */
+    unsigned validCount() const { return valid_count_; }
 
     /** Number of victim tags currently held. */
     unsigned victimTagCount() const;
@@ -131,6 +132,7 @@ class DecoupledSet
     std::vector<TagEntry> entries_; // front = MRU, back = LRU
     unsigned segment_budget_;
     unsigned used_segments_ = 0;
+    unsigned valid_count_ = 0; ///< valid entries in entries_
 };
 
 } // namespace cmpsim

@@ -383,9 +383,11 @@ CheckpointCodec::decodeSet(ckpt::Decoder &d, DecoupledSet &set)
             "cache set tag count mismatch: file " + std::to_string(n) +
             ", config " + std::to_string(set.entries_.size()));
     }
+    set.valid_count_ = 0;
     for (TagEntry &t : set.entries_) {
         t.line = d.u64();
         t.valid = d.boolean();
+        set.valid_count_ += t.valid;
         t.dirty = d.boolean();
         t.prefetch = d.boolean();
         t.pf_source = static_cast<PfSource>(d.u8());
@@ -1070,37 +1072,39 @@ CheckpointCodec::loadDram(ckpt::Decoder &d)
 std::string
 CheckpointCodec::saveValues()
 {
-    const ValueStore &vs = *sys_.values_;
-    std::vector<Addr> keys;
-    keys.reserve(vs.lines_.size());
-    // analyze-ok: unordered-iter keys are sorted before encoding
-    for (const auto &[addr, entry] : vs.lines_)
-        keys.push_back(addr);
-    std::sort(keys.begin(), keys.end());
     ckpt::Encoder e;
-    e.u64(keys.size());
-    for (Addr addr : keys) {
-        e.u64(addr);
-        // Only the bytes: the segment-count memo is a deterministic
-        // pure function of the data and recomputes identically, and
-        // skipping it keeps save -> load -> save byte-stable.
-        e.raw(vs.lines_.at(addr).data.data(), kLineBytes);
-    }
+    encodeValues(e, *sys_.values_);
     return e.take();
 }
 
 void
 CheckpointCodec::loadValues(ckpt::Decoder &d)
 {
-    ValueStore &vs = *sys_.values_;
-    vs.lines_.clear();
-    vs.dropFilter(); // cached node pointers die with the cleared map
+    decodeValues(d, *sys_.values_);
+}
+
+void
+CheckpointCodec::encodeValues(ckpt::Encoder &e, const ValueStore &vs)
+{
+    const std::vector<Addr> lines = vs.sortedLines();
+    e.u64(lines.size());
+    for (const Addr addr : lines) {
+        e.u64(addr);
+        // Only the bytes: the segment-count memo is a deterministic
+        // pure function of the data and recomputes identically, and
+        // skipping it keeps save -> load -> save byte-stable.
+        e.raw(vs.line(addr).data(), kLineBytes);
+    }
+}
+
+void
+CheckpointCodec::decodeValues(ckpt::Decoder &d, ValueStore &vs)
+{
+    vs.clear();
     const std::uint64_t n = d.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr addr = d.u64();
-        ValueStore::Entry &entry = vs.lines_[addr];
+        ValueStore::Entry &entry = vs.ensure(d.u64());
         d.raw(entry.data.data(), kLineBytes);
-        entry.segments_valid = false;
     }
 }
 

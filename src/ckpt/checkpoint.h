@@ -44,6 +44,7 @@ class CmpSystem;
 class DecoupledSet;
 class L2Cache;
 class StridePrefetcher;
+class ValueStore;
 struct SystemConfig;
 struct WorkloadParams;
 
@@ -69,6 +70,18 @@ class CheckpointCodec
 
     /** Restore @p bytes into the freshly built system. */
     void restore(std::string_view bytes);
+
+    /** The "values" section body: line count, then (address, 64 data
+     *  bytes) per line in ascending address order, so the bytes do not
+     *  depend on the store's internal layout. */
+    static void encodeValues(ckpt::Encoder &e, const ValueStore &vs);
+    /** Replace @p vs's contents with an encodeValues() body. */
+    static void decodeValues(ckpt::Decoder &d, ValueStore &vs);
+
+    /** A prefetcher's filter, stream and recent-miss tables plus its
+     *  tick, field by field (the "prefetch" section's per-engine body). */
+    static void encodePrefetcher(ckpt::Encoder &e,
+                                 const StridePrefetcher &pf);
 
   private:
     // ---- section writers ----
@@ -119,8 +132,6 @@ class CheckpointCodec
     // ---- shared structure helpers ----
     static void encodeSet(ckpt::Encoder &e, const DecoupledSet &set);
     static void decodeSet(ckpt::Decoder &d, DecoupledSet &set);
-    static void encodePrefetcher(ckpt::Encoder &e,
-                                 const StridePrefetcher &pf);
     static void decodePrefetcher(ckpt::Decoder &d, StridePrefetcher &pf);
 
     CmpSystem &sys_;

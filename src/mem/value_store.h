@@ -8,13 +8,20 @@
  * convenience, not an architectural statement: stores update values
  * immediately while the timing model still charges write-back traffic,
  * so compressed sizes always reflect current data.
+ *
+ * Layout (DESIGN.md §15): an open-addressing index (power-of-two
+ * capacity, multiplicative hash, linear probing, load <= 3/4) maps a
+ * line address to a 32-bit slot in a chunked arena of packed 66-byte
+ * entries. Entries never move, so references returned by line() stay
+ * valid until the store is cleared by a checkpoint restore.
  */
 
 #ifndef CMPSIM_MEM_VALUE_STORE_H
 #define CMPSIM_MEM_VALUE_STORE_H
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "src/common/line_data.h"
@@ -32,13 +39,14 @@ class ValueStore
     explicit ValueStore(const Compressor &compressor)
         : compressor_(compressor)
     {
+        clear();
     }
 
     /** True when @p addr's line has been given a value. */
     bool
     hasLine(Addr addr) const
     {
-        return findCached(lineAddr(addr)) != nullptr;
+        return find(lineAddr(addr)) != nullptr;
     }
 
     /**
@@ -50,7 +58,7 @@ class ValueStore
     line(Addr addr) const
     {
         static const LineData zero{};
-        const Entry *e = findCached(lineAddr(addr));
+        const Entry *e = find(lineAddr(addr));
         return e == nullptr ? zero : e->data;
     }
 
@@ -61,6 +69,27 @@ class ValueStore
         if (journaling_)
             journal_.push_back({addr, data, 0, true});
         Entry &e = ensure(lineAddr(addr));
+        e.data = data;
+        e.segments_valid = false;
+    }
+
+    /**
+     * setLine(@p addr, @p make()) unless the line already has a
+     * value; @p make runs only when it does not. One index probe
+     * either way (the first-touch path of every workload access).
+     */
+    template <typename Make>
+    void
+    setLineIfAbsent(Addr addr, Make &&make)
+    {
+        const Addr line = lineAddr(addr);
+        std::size_t slot = probe(line);
+        if (keys_[slot] == line)
+            return;
+        const LineData data = make();
+        if (journaling_)
+            journal_.push_back({addr, data, 0, true});
+        Entry &e = insertAt(slot, line);
         e.data = data;
         e.segments_valid = false;
     }
@@ -125,29 +154,55 @@ class ValueStore
     unsigned
     segments(Addr addr)
     {
-        Entry *e = findCached(lineAddr(addr));
+        Entry *e = find(lineAddr(addr));
         if (e == nullptr)
             return zero_segments();
         if (!e->segments_valid) {
-            e->segments = compressor_.compressedSegments(e->data);
+            e->segments = static_cast<std::uint8_t>(
+                compressor_.compressedSegments(e->data));
             e->segments_valid = true;
         }
         return e->segments;
     }
 
-    std::size_t lineCount() const { return lines_.size(); }
+    std::size_t lineCount() const { return size_; }
+
+    /** Every line address with a value, ascending. The index's slot
+     *  order is hash order, so this is its only enumeration. */
+    std::vector<Addr>
+    sortedLines() const
+    {
+        std::vector<Addr> lines;
+        lines.reserve(size_);
+        for (std::size_t i = 0; i <= mask_; ++i) {
+            if (keys_[i] != kNoLine)
+                lines.push_back(keys_[i]);
+        }
+        std::sort(lines.begin(), lines.end());
+        return lines;
+    }
 
     const Compressor &compressor() const { return compressor_; }
 
   private:
-    friend class CheckpointCodec; // serializes the line map
+    friend class CheckpointCodec; // rebuilds the store on restore
 
+    /** One line: its bytes and the segment-count memo, packed. */
     struct Entry
     {
-        LineData data{};
-        unsigned segments = 0;
-        bool segments_valid = false;
+        LineData data;
+        std::uint8_t segments;
+        bool segments_valid;
     };
+    static_assert(sizeof(Entry) == kLineBytes + 2);
+
+    static constexpr unsigned kChunkShift = 12; ///< 4096 entries/chunk
+    static constexpr std::size_t kChunkEntries = std::size_t{1}
+                                                 << kChunkShift;
+    static constexpr unsigned kMinSlotsLog2 = 10;
+    static constexpr std::size_t kMaxIndex = 0xffffffffu;
+    /** Line addresses are 64-byte aligned, so all-ones never occurs. */
+    static constexpr Addr kNoLine = ~static_cast<Addr>(0);
 
     unsigned
     zero_segments()
@@ -157,68 +212,109 @@ class ValueStore
         return zero_segments_;
     }
 
-    /**
-     * Look up @p line through a small direct-mapped filter of
-     * known-present lines. Every functionally executed data access
-     * probes the store (touchLine, writeWord, fill-path reads); with
-     * hundreds of thousands of resident lines each probe is a couple
-     * of cache misses in the hash table, while the filter catches the
-     * heavy reuse of record/stream/hot lines. Caching only positives
-     * keeps it exact: lines are never erased outside restore (which
-     * calls dropFilter()), so a cached node pointer — stable in
-     * unordered_map — never goes stale.
-     */
-    Entry *
-    findCached(Addr line) const
+    Entry &
+    entry(std::uint32_t index) const
     {
-        const std::size_t slot = (line >> 6) & (kFilterSlots - 1);
-        if (filter_line_[slot] == line)
-            return filter_entry_[slot];
-        auto it = lines_.find(line);
-        if (it == lines_.end())
-            return nullptr;
-        filter_line_[slot] = line;
-        filter_entry_[slot] =
-            const_cast<Entry *>(&it->second);
-        return filter_entry_[slot];
+        return chunks_[index >> kChunkShift][index & (kChunkEntries - 1)];
     }
 
-    /** Find-or-insert @p line, keeping the filter coherent. */
+    /** Index slot holding @p line, or the empty slot ending its probe
+     *  run. Fibonacci hashing of the line number spreads sequential
+     *  lines across the table; the top bits index it. */
+    std::size_t
+    probe(Addr line) const
+    {
+        std::size_t slot =
+            (lineNumber(line) * 0x9e3779b97f4a7c15ull) >> shift_;
+        while (keys_[slot] != line && keys_[slot] != kNoLine)
+            slot = (slot + 1) & mask_;
+        return slot;
+    }
+
+    Entry *
+    find(Addr line) const
+    {
+        const std::size_t slot = probe(line);
+        return keys_[slot] == line ? &entry(slots_[slot]) : nullptr;
+    }
+
+    /** Find-or-insert @p line; a new line reads as zero. */
     Entry &
     ensure(Addr line)
     {
-        if (Entry *e = findCached(line))
-            return *e;
-        Entry &e = lines_[line];
-        const std::size_t slot = (line >> 6) & (kFilterSlots - 1);
-        filter_line_[slot] = line;
-        filter_entry_[slot] = &e;
+        const std::size_t slot = probe(line);
+        if (keys_[slot] == line)
+            return entry(slots_[slot]);
+        Entry &e = insertAt(slot, line);
+        e.data = LineData{};
+        e.segments_valid = false;
         return e;
     }
 
-    /** Invalidate the filter after lines_ is rebuilt (ckpt restore). */
-    void
-    dropFilter()
+    /** Claim arena entry size_ for @p line at its empty probe slot
+     *  @p slot, growing the index first when the insert would take it
+     *  past 3/4 full. The entry's contents are the caller's to set. */
+    Entry &
+    insertAt(std::size_t slot, Addr line)
     {
-        for (std::size_t i = 0; i < kFilterSlots; ++i) {
-            filter_line_[i] = kNoLine;
-            filter_entry_[i] = nullptr;
+        if ((size_ + 1) * 4 > (mask_ + 1) * 3) {
+            rehash(64 - shift_ + 1);
+            slot = probe(line);
+        }
+        cmpsim_assert(size_ <= kMaxIndex, "value store: arena index overflow");
+        const auto index = static_cast<std::uint32_t>(size_++);
+        if ((index & (kChunkEntries - 1)) == 0) {
+            // Default-initialized: pages are touched only as entries
+            // are claimed, so a fresh chunk costs no resident memory.
+            chunks_.emplace_back(new Entry[kChunkEntries]);
+        }
+        keys_[slot] = line;
+        slots_[slot] = index;
+        return entry(index);
+    }
+
+    /** Rebuild the index at 2^@p log2 slots; the arena stays put. */
+    void
+    rehash(unsigned log2)
+    {
+        std::unique_ptr<Addr[]> old_keys = std::move(keys_);
+        std::unique_ptr<std::uint32_t[]> old_slots = std::move(slots_);
+        const std::size_t old_count = old_keys ? mask_ + 1 : 0;
+        const std::size_t n = std::size_t{1} << log2;
+        keys_.reset(new Addr[n]);
+        slots_.reset(new std::uint32_t[n]);
+        std::fill(keys_.get(), keys_.get() + n, kNoLine);
+        mask_ = n - 1;
+        shift_ = 64 - log2;
+        for (std::size_t i = 0; i < old_count; ++i) {
+            if (old_keys[i] == kNoLine)
+                continue;
+            const std::size_t slot = probe(old_keys[i]);
+            keys_[slot] = old_keys[i];
+            slots_[slot] = old_slots[i];
         }
     }
 
-    static constexpr std::size_t kFilterSlots = 8;
-    /** Line addresses are 64-byte aligned, so all-ones never occurs. */
-    static constexpr Addr kNoLine = ~static_cast<Addr>(0);
+    /** Drop every line (checkpoint restore rebuilds the store). */
+    void
+    clear()
+    {
+        chunks_.clear();
+        size_ = 0;
+        keys_.reset();
+        rehash(kMinSlotsLog2);
+    }
 
     const Compressor &compressor_;
-    std::unordered_map<Addr, Entry> lines_;
+    std::unique_ptr<Addr[]> keys_;            ///< line address or kNoLine
+    std::unique_ptr<std::uint32_t[]> slots_;  ///< arena index per key
+    std::size_t mask_ = 0;                    ///< index slots - 1
+    unsigned shift_ = 64;                     ///< 64 - log2(slots)
+    std::size_t size_ = 0;                    ///< lines = arena entries used
+    std::vector<std::unique_ptr<Entry[]>> chunks_;
     bool journaling_ = false;
     std::vector<Op> journal_;
     unsigned zero_segments_ = 0;
-    mutable Addr filter_line_[kFilterSlots] = {
-        kNoLine, kNoLine, kNoLine, kNoLine,
-        kNoLine, kNoLine, kNoLine, kNoLine};
-    mutable Entry *filter_entry_[kFilterSlots] = {};
 };
 
 } // namespace cmpsim

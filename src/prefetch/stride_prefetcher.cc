@@ -100,6 +100,22 @@ StridePrefetcher::allocStream(std::int64_t line, std::int64_t stride,
     return out;
 }
 
+bool
+StridePrefetcher::streamCovers(std::int64_t delta, std::int64_t stride,
+                               std::int64_t span)
+{
+    // With steps = delta / stride and depth = span / stride (both
+    // truncating), the window is delta % stride == 0 and
+    // 1 <= steps <= depth. steps >= 1 means delta has stride's sign;
+    // then steps <= depth is delta <= span for a rising stream and
+    // delta >= span for a falling one, for any span (a span against
+    // the stride gives depth <= 0 and fails both forms). So only the
+    // lattice test divides, and unit strides skip it.
+    const bool ahead = stride > 0 ? delta > 0 && delta <= span
+                                  : delta < 0 && delta >= span;
+    return ahead && (stride == 1 || stride == -1 || delta % stride == 0);
+}
+
 StridePrefetcher::StreamEntry *
 StridePrefetcher::findStream(std::int64_t line)
 {
@@ -109,15 +125,8 @@ StridePrefetcher::findStream(std::int64_t line)
     // window would let unrelated hot-region misses "advance" streams
     // and run them away from the demand stream.)
     for (auto &s : streams_) {
-        if (!s.valid)
-            continue;
-        const std::int64_t delta = line - s.last_demand;
-        if (delta == 0 || delta % s.stride != 0)
-            continue;
-        const std::int64_t steps = delta / s.stride;
-        const std::int64_t depth =
-            (s.next_pf - s.last_demand) / s.stride;
-        if (steps > 0 && steps <= depth)
+        if (s.valid && streamCovers(line - s.last_demand, s.stride,
+                                    s.next_pf - s.last_demand))
             return &s;
     }
     return nullptr;

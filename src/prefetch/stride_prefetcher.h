@@ -91,6 +91,15 @@ class StridePrefetcher
     /** Drop all learned state (filter and stream tables). */
     void clear();
 
+    /**
+     * True when a line @p delta lines past a stream's demand head lies
+     * in the stream's prefetched window: on the @p stride lattice,
+     * 1..(@p span / @p stride) steps ahead, where @p span is the
+     * prefetch head's distance from the demand head. @pre stride != 0.
+     */
+    static bool streamCovers(std::int64_t delta, std::int64_t stride,
+                             std::int64_t span);
+
   private:
     friend class CheckpointCodec; // serializes filter/stream tables
 

@@ -99,8 +99,12 @@ class FaultPlan
 
 namespace detail {
 struct ArmedFaults;
-extern thread_local ArmedFaults *tl_armed;
-extern thread_local bool tl_has_deadline;
+// constinit: the inline probes below read these through the header's
+// extern declaration; without it the compiler must assume a dynamic
+// initializer and route each read through a TLS wrapper call, which
+// UBSan's null check trips on.
+extern constinit thread_local ArmedFaults *tl_armed;
+extern constinit thread_local bool tl_has_deadline;
 void faultSiteSlow(const char *site);
 bool faultStallSlow(const char *site);
 void checkPointDeadlineSlow(const char *where);

@@ -111,8 +111,8 @@ SyntheticWorkload::touchLine(Addr addr)
 {
     LaneMailbox *lane = laneContext();
     if (lane == nullptr) {
-        if (!values_.hasLine(addr))
-            values_.setLine(addr, value_gen_.generate(rng_));
+        values_.setLineIfAbsent(addr,
+                                [this] { return value_gen_.generate(rng_); });
         return;
     }
     // Parallel lane tick: the value store is shared, so first touches

@@ -170,6 +170,9 @@ TEST(UnorderedIterTest, QuietOnSortedCopyIdiomAndReceiverPositions)
           "void f() {\n"
           "    for (int k : sortedKeys(table_)) { use(k); }\n"
           "    for (const Waiter &w : m.waiters) { use(w); }\n"
+          // A hash-order index with only a sorted accessor
+          // (ValueStore::sortedLines, DESIGN.md section 15).
+          "    for (const Addr a : values.sortedLines()) { use(a); }\n"
           "}\n"}});
     EXPECT_TRUE(where(r, "unordered-iter").empty());
 }
@@ -371,6 +374,21 @@ TEST(SharedStateTest, QuietOnConstAtomicAndFunctionDecls)
           "static int helper(int);\n" // declaration, not state
           "void f() { int local = 0; use(local); }\n"}});
     EXPECT_TRUE(where(r, "shared-state").empty());
+}
+
+TEST(SharedStateTest, ExternDeclarationsDeferToTheDefinition)
+{
+    // `constinit` fixes how the variable is initialized, not whether
+    // it is shared: the definition still fires, the extern
+    // redeclarations (with or without constinit) do not.
+    const auto r = analyze(
+        {{"src/sim/tls.h",
+          "extern thread_local bool plain;\n"
+          "extern constinit thread_local bool armed;\n"},
+         {"src/sim/tls.cc", "constinit thread_local bool armed = false;\n"}});
+    const auto hits = where(r, "shared-state");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0], "src/sim/tls.cc:1");
 }
 
 TEST(SharedStateTest, ScopedToKernelDirectories)

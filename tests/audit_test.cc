@@ -118,6 +118,20 @@ TEST(AuditDecoupledSetTest, DetectsValidEntryBehindVictimTag)
     EXPECT_NE(why.find("MRU prefix"), std::string::npos) << why;
 }
 
+TEST(AuditDecoupledSetTest, DetectsValidCountDrift)
+{
+    DecoupledSet set(4, 32);
+    set.insert(makeEntry(0x100, 8));
+    set.insert(makeEntry(0x200, 8));
+    // Drop the LRU valid bit behind the set's back: the stack order
+    // still holds, but the running count now says one line too many.
+    set.entryForTest(1).valid = false;
+    set.entryForTest(1).dirty = false;
+    std::string why;
+    EXPECT_FALSE(auditDecoupledSet(set, false, why));
+    EXPECT_NE(why.find("valid-count drift"), std::string::npos) << why;
+}
+
 TEST(AuditDecoupledSetTest, DetectsDuplicateLineAddress)
 {
     DecoupledSet set(8, 32);

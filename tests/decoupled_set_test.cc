@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "tests/reference_lru_set.h"
 
 namespace cmpsim {
 namespace {
@@ -269,6 +270,126 @@ TEST(DecoupledSetTest, ValidStackDepth)
     EXPECT_EQ(set.validStackDepth(0x200), 1);
     EXPECT_EQ(set.validStackDepth(0x100), 2);
     EXPECT_EQ(set.validStackDepth(0x999), -1);
+}
+
+// ---- Differential test against the reference compressed-set LRU ----
+
+void
+expectSameTag(const TagEntry &a, const TagEntry &b, const char *what)
+{
+    EXPECT_EQ(a.line, b.line) << what;
+    EXPECT_EQ(a.valid, b.valid) << what;
+    EXPECT_EQ(a.dirty, b.dirty) << what;
+    EXPECT_EQ(a.prefetch, b.prefetch) << what;
+    EXPECT_EQ(a.pf_source, b.pf_source) << what;
+    EXPECT_EQ(a.was_compressed, b.was_compressed) << what;
+    EXPECT_EQ(a.segments, b.segments) << what;
+    EXPECT_EQ(a.sharers, b.sharers) << what;
+    EXPECT_EQ(a.owner, b.owner) << what;
+}
+
+void
+expectSameTags(const std::vector<TagEntry> &a,
+               const std::vector<TagEntry> &b, const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        expectSameTag(a[i], b[i], what);
+}
+
+/** A random live line state, as the L1/L2 would insert it. */
+TagEntry
+randomEntry(Random &rng, Addr line, bool compressed)
+{
+    TagEntry e = makeEntry(
+        line, compressed ? static_cast<unsigned>(rng.inRange(1, 8))
+                         : kSegmentsPerLine);
+    e.dirty = rng.below(4) == 0;
+    e.prefetch = rng.below(4) == 0;
+    e.pf_source = e.prefetch ? PfSource::L2 : PfSource::None;
+    e.was_compressed = rng.below(2) == 0;
+    e.sharers = static_cast<std::uint16_t>(rng.below(16));
+    e.owner = static_cast<std::int8_t>(rng.below(3)) - 1;
+    return e;
+}
+
+TEST(DecoupledSetDiffTest, MatchesReferenceLruOnRandomStreams)
+{
+    struct Shape
+    {
+        unsigned tags, budget;
+        bool compressed;
+    };
+    // Compressed L2, uncompressed L2 with a victim tag, L1 with one.
+    for (const Shape shape : {Shape{8, 32, true}, Shape{9, 64, false},
+                              Shape{5, 32, false}}) {
+        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            SCOPED_TRACE(testing::Message()
+                         << shape.tags << "/" << shape.budget << " seed "
+                         << seed);
+            Random rng(seed);
+            DecoupledSet real(shape.tags, shape.budget);
+            ReferenceLruSet ref(shape.tags, shape.budget);
+            // A few more lines than tags, so hits, victim-tag matches
+            // and evictions all recur.
+            const unsigned universe = shape.tags + 6;
+            for (unsigned step = 0; step < 20000; ++step) {
+                const Addr line = rng.below(universe) << kLineShift;
+                TagEntry *r = real.find(line);
+                TagEntry *m = ref.find(line);
+                ASSERT_EQ(r != nullptr, m != nullptr) << step;
+                switch (rng.below(6)) {
+                  case 0:
+                  case 1:
+                    if (r == nullptr) {
+                        const TagEntry e =
+                            randomEntry(rng, line, shape.compressed);
+                        expectSameTags(real.insert(e), ref.insert(e),
+                                       "insert evictions");
+                    } else {
+                        real.touch(line);
+                        ref.touch(line);
+                    }
+                    break;
+                  case 2:
+                    if (r != nullptr && shape.compressed) {
+                        const auto seg =
+                            static_cast<unsigned>(rng.inRange(1, 8));
+                        expectSameTags(real.resize(line, seg),
+                                       ref.resize(line, seg),
+                                       "resize evictions");
+                    }
+                    break;
+                  case 3:
+                    expectSameTag(real.invalidate(line),
+                                  ref.invalidate(line), "invalidate");
+                    break;
+                  case 4:
+                    if (r != nullptr) {
+                        // In-place state changes through find(), as
+                        // the caches make them.
+                        r->dirty = m->dirty = true;
+                        r->prefetch = m->prefetch = false;
+                        r->pf_source = m->pf_source = PfSource::None;
+                    }
+                    break;
+                  default:
+                    ASSERT_EQ(real.victimTagMatch(line),
+                              ref.victimTagMatch(line));
+                    ASSERT_EQ(real.validStackDepth(line),
+                              ref.validStackDepth(line));
+                    break;
+                }
+                ASSERT_EQ(real.validCount(), ref.validCount()) << step;
+                ASSERT_EQ(real.victimTagCount(), ref.victimCount()) << step;
+                ASSERT_EQ(real.usedSegments(), ref.used()) << step;
+                ASSERT_EQ(real.anyValidPrefetch(), ref.anyValidPrefetch());
+                expectSameTags(real.entries(), ref.entries(), "tag stack");
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/ckpt/checkpoint.h"
+#include "src/common/random.h"
 #include "src/prefetch/adaptive_controller.h"
+#include "tests/reference_stride_prefetcher.h"
 
 namespace cmpsim {
 namespace {
@@ -255,6 +258,118 @@ TEST(AdaptiveControllerTest, ThrottledPrefetcherEndToEnd)
     for (std::uint64_t l = 100; l < 103; ++l)
         pf.observeMiss(la(l), ctl.allowedStartup());
     EXPECT_EQ(pf.observeMiss(la(103), ctl.allowedStartup()).size(), 2u);
+}
+
+/** findStream's window test as first written, with three divisions. */
+bool
+coversByDivision(std::int64_t delta, std::int64_t stride, std::int64_t span)
+{
+    if (delta == 0 || delta % stride != 0)
+        return false;
+    const std::int64_t steps = delta / stride;
+    const std::int64_t depth = span / stride;
+    return steps > 0 && steps <= depth;
+}
+
+TEST(StridePrefetcherTest, WindowTestMatchesDivisionFormula)
+{
+    Random rng(11);
+    unsigned covered = 0;
+    for (unsigned i = 0; i < 400000; ++i) {
+        // Unit strides half the time; non-unit up to +-max_stride.
+        std::int64_t stride = rng.below(2) ? 1 : static_cast<std::int64_t>(
+                                                     rng.inRange(2, 32));
+        if (rng.below(2))
+            stride = -stride;
+        // Spans near a whole number of strides (the stream's depth),
+        // either sign, with jitter; deltas around the same range.
+        const auto depth = static_cast<std::int64_t>(rng.inRange(0, 30)) -
+                           3;
+        const std::int64_t span =
+            depth * stride + static_cast<std::int64_t>(rng.below(5)) - 2;
+        const std::int64_t delta =
+            rng.below(2)
+                ? static_cast<std::int64_t>(rng.inRange(0, 40)) * stride -
+                      stride * 4 + static_cast<std::int64_t>(rng.below(3)) -
+                      1
+                : static_cast<std::int64_t>(rng.inRange(0, 2000)) - 1000;
+        const bool expect = coversByDivision(delta, stride, span);
+        ASSERT_EQ(StridePrefetcher::streamCovers(delta, stride, span), expect)
+            << "delta=" << delta << " stride=" << stride << " span=" << span;
+        covered += expect;
+    }
+    // The stream draws must exercise both verdicts heavily.
+    EXPECT_GT(covered, 20000u);
+}
+
+// ---- Differential test against the reference Power4 engine ---------
+
+std::string
+encodeEngine(const StridePrefetcher &pf)
+{
+    ckpt::Encoder e;
+    CheckpointCodec::encodePrefetcher(e, pf);
+    return e.take();
+}
+
+TEST(StridePrefetcherDiffTest, MatchesReferenceOnRandomStreams)
+{
+    for (const PrefetcherParams params : {l1Params(), l2Params()}) {
+        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            SCOPED_TRACE(testing::Message()
+                         << "startup " << params.startup_prefetches
+                         << " seed " << seed);
+            Random rng(seed);
+            StridePrefetcher real(params);
+            ReferenceStridePrefetcher ref(params);
+            // A few concurrent walkers (unit and non-unit strides,
+            // both directions, crossing 128-line pages) plus random
+            // misses; uses of issued prefetches feed observeUse().
+            struct Walker
+            {
+                std::int64_t line, stride;
+            };
+            std::vector<Walker> walkers(4);
+            std::vector<Addr> issued;
+            for (unsigned step = 0; step < 60000; ++step) {
+                Walker &w = walkers[rng.below(walkers.size())];
+                if (step % 500 == 0 || w.line < 64) {
+                    const std::int64_t strides[] = {1, -1, 1, -1, 2, -3, 5,
+                                                    16, -32, 40};
+                    w.stride = strides[rng.below(10)];
+                    w.line = static_cast<std::int64_t>(
+                        rng.inRange(1000, 1 << 20));
+                }
+                const unsigned limit =
+                    rng.below(8) == 0 ? 0 : static_cast<unsigned>(
+                                                rng.inRange(1, 25));
+                Addr addr;
+                std::vector<Addr> got, want;
+                if (!issued.empty() && rng.below(3) == 0) {
+                    addr = issued[rng.below(issued.size())];
+                    got = real.observeUse(addr, limit);
+                    want = ref.observeUse(addr, limit);
+                } else {
+                    w.line += w.stride;
+                    addr = rng.below(10) == 0
+                               ? static_cast<Addr>(rng.below(1 << 22))
+                                     << kLineShift
+                               : static_cast<Addr>(w.line) << kLineShift;
+                    got = real.observeMiss(addr, limit);
+                    want = ref.observeMiss(addr, limit);
+                }
+                ASSERT_EQ(got, want) << "step " << step << " addr "
+                                     << std::hex << addr;
+                issued.insert(issued.end(), got.begin(), got.end());
+                if (issued.size() > 256)
+                    issued.erase(issued.begin(), issued.begin() + 128);
+                if (step % 1000 == 0)
+                    ASSERT_EQ(encodeEngine(real), ref.encode()) << step;
+            }
+            EXPECT_EQ(encodeEngine(real), ref.encode());
+            EXPECT_GT(real.streamsAllocated(), 100u);
+        }
+    }
 }
 
 } // namespace

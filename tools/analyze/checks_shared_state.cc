@@ -94,8 +94,12 @@ class SharedStateChecker final : public Checker
                           isIdent(t, i - 1, "thread_local")))
                 continue;
             // Redeclarations of externally-defined state are flagged
-            // at their definition, not at every extern mention.
-            if (i > 0 && isIdent(t, i - 1, "extern"))
+            // at their definition, not at every extern mention
+            // (`extern thread_local`, `extern constinit thread_local`).
+            std::size_t spec = i;
+            while (spec > 0 && isIdent(t, spec - 1, "constinit"))
+                --spec;
+            if (spec > 0 && isIdent(t, spec - 1, "extern"))
                 continue;
 
             bool immutable = false;
