@@ -147,9 +147,8 @@ esac
   echo "  \"nproc\": $host_nproc,"
   echo "  \"jobs\": $jobs,"
   # Wall-clock numbers are only comparable across runs that used the
-  # same kernel sharding and simulation-worker counts, so record both
-  # knobs next to the timings ("" = unset, i.e. the defaults).
-  echo "  \"cmpsim_lanes\": \"${CMPSIM_LANES:-}\","
+  # same simulation-worker count, so record the knob next to the
+  # timings ("" = unset, i.e. the default).
   echo "  \"cmpsim_jobs\": \"${CMPSIM_JOBS:-}\","
   # Checkpoint knobs change what a run does at startup (restore) and
   # add periodic autosave I/O to its wall clock, so a perf trajectory

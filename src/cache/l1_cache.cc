@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/audit/audits.h"
-#include "src/sim/lane.h"
 
 namespace cmpsim {
 
@@ -149,17 +148,6 @@ L1Cache::prefetchLine(Addr line, Cycle when)
 void
 L1Cache::scheduleDone(Cycle at, Done done, ckpt::Tag tag)
 {
-    if (LaneMailbox *lane = laneContext()) {
-        // Parallel lane tick: seq numbers are assigned from the shared
-        // counter at the barrier, in canonical core order.
-        lane->defer([this, at, done = std::move(done),
-                     tag = std::move(tag)]() mutable {
-            eq_.schedule(at, [done = std::move(done), at] { done(at); },
-                         ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0,
-                                   std::move(tag)));
-        });
-        return;
-    }
     ckpt::Tag ev_tag =
         ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0, std::move(tag));
     eq_.schedule(at, [done = std::move(done), at] { done(at); },
@@ -169,19 +157,6 @@ L1Cache::scheduleDone(Cycle at, Done done, ckpt::Tag tag)
 void
 L1Cache::requestFromL2(Addr line, bool is_write, ReqType type, Cycle when)
 {
-    if (LaneMailbox *lane = laneContext()) {
-        // The MSHR entry is already booked (lane-local, safe); only the
-        // L2 side — bank queues, link bandwidth, the fill callback's
-        // event — is shared state and must wait for the barrier.
-        lane->defer([this, line, is_write, type, when] {
-            l2_.request(cpu_, line, is_write, type, when,
-                        [this, line](Cycle at, bool excl, bool comp) {
-                            fill(line, at, excl, comp);
-                        },
-                        ckpt::tag(ckpt::kL1Fill, ckpt_id_, line));
-        });
-        return;
-    }
     l2_.request(cpu_, line, is_write, type, when,
                 [this, line](Cycle at, bool excl, bool comp) {
                     fill(line, at, excl, comp);

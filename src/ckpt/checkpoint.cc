@@ -59,13 +59,12 @@ std::uint64_t
 checkpointFingerprint(const SystemConfig &c, const WorkloadParams &w)
 {
     std::string s;
-    // Behavioural SystemConfig knobs only: lanes and watchdog_cycles
-    // never change simulated results (the sharded kernel is
-    // byte-identical at any lane count and the watchdog only bounds
-    // livelock), so a checkpoint moves freely across them. The audit
-    // and sample intervals are *included*: they do not perturb
-    // results today, but they gate periodic work inside the run loop
-    // and a resumed run must replay the same cursor arithmetic.
+    // Behavioural SystemConfig knobs only: watchdog_cycles never
+    // changes simulated results (the watchdog only bounds livelock),
+    // so a checkpoint moves freely across it. The audit and sample
+    // intervals are *included*: they do not perturb results today,
+    // but they gate periodic work inside the run loop and a resumed
+    // run must replay the same cursor arithmetic.
     fpInt(s, "cores", c.cores);
     fpInt(s, "scale", c.scale);
     fpInt(s, "cache_compression", c.cache_compression);
@@ -478,7 +477,7 @@ CheckpointCodec::saveSystem()
 {
     ckpt::Encoder e;
     e.u64(sys_.eq_.now());
-    e.u64(sys_.lane_eqs_.empty() ? sys_.eq_.own_seq_ : sys_.lane_seq_);
+    e.u64(sys_.eq_.seq_);
     const CmpSystem::RunState &rs = sys_.run_state_;
     e.boolean(rs.active);
     e.u64(rs.start);
@@ -500,15 +499,8 @@ CheckpointCodec::saveSystem()
 void
 CheckpointCodec::loadSystem(ckpt::Decoder &d)
 {
-    const Cycle now = d.u64();
-    const std::uint64_t seq = d.u64();
-    sys_.eq_.now_ = now;
-    for (auto &q : sys_.lane_eqs_)
-        q->now_ = now;
-    if (sys_.lane_eqs_.empty())
-        sys_.eq_.own_seq_ = seq;
-    else
-        sys_.lane_seq_ = seq;
+    sys_.eq_.now_ = d.u64();
+    sys_.eq_.seq_ = d.u64();
     CmpSystem::RunState &rs = sys_.run_state_;
     rs.active = d.boolean();
     rs.start = d.u64();
@@ -530,22 +522,14 @@ CheckpointCodec::loadSystem(ckpt::Decoder &d)
 std::string
 CheckpointCodec::saveEvents()
 {
-    // Gather pending events from the uncore queue plus every lane
-    // queue (heap and same-cycle FIFO both) and emit them in global
-    // (when, seq) order. Which queue held an event is *not* recorded:
-    // the merged drain executes events in (when, seq) order wherever
-    // they sit, so a single sorted list restores correctly at any
-    // lane count — and the bytes are lane-count independent.
+    // Emit every pending event (heap and same-cycle FIFO both) in
+    // (when, seq) order, so the bytes do not depend on heap layout.
+    const EventQueue &q = sys_.eq_;
     std::vector<const EventQueue::Event *> events;
-    auto gather = [&events](const EventQueue &q) {
-        for (const auto &ev : q.heap_)
-            events.push_back(&ev);
-        for (std::size_t i = q.same_head_; i < q.same_cycle_.size(); ++i)
-            events.push_back(&q.same_cycle_[i]);
-    };
-    gather(sys_.eq_);
-    for (const auto &q : sys_.lane_eqs_)
-        gather(*q);
+    for (const auto &ev : q.heap_)
+        events.push_back(&ev);
+    for (std::size_t i = q.same_head_; i < q.same_cycle_.size(); ++i)
+        events.push_back(&q.same_cycle_[i]);
     std::sort(events.begin(), events.end(),
               [](const EventQueue::Event *a, const EventQueue::Event *b) {
                   return a->before(*b);
@@ -565,10 +549,9 @@ CheckpointCodec::saveEvents()
 void
 CheckpointCodec::loadEvents(ckpt::Decoder &d)
 {
-    // All events restore into the uncore queue regardless of lane
-    // count: the merged drain replays global (when, seq) order across
-    // queues, so placement is semantically irrelevant, and a
-    // (when, seq)-sorted array is already a valid binary min-heap.
+    // Every event restores into the heap: it runs in (when, seq)
+    // order wherever it sat at save time, and a (when, seq)-sorted
+    // array is already a valid binary min-heap.
     EventQueue &eq = sys_.eq_;
     eq.heap_.clear();
     eq.same_cycle_.clear();

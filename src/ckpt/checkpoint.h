@@ -3,9 +3,9 @@
  * The checkpoint codec (DESIGN.md §13): bit-exact serialization and
  * restoration of a complete CmpSystem.
  *
- * save() walks every component the simulation mutates — event queues
- * (heap + same-cycle FIFO, gathered across all lane queues into one
- * (when, seq)-sorted list so the bytes are lane-count independent),
+ * save() walks every component the simulation mutates — the event
+ * queue (heap + same-cycle FIFO, written as one (when, seq)-sorted
+ * list so the bytes do not depend on heap layout),
  * L1/L2 tag arrays and MSHRs, the priority link's class queues and
  * in-flight transfer, the banked-DRAM channels when armed, prefetcher
  * filter/stream tables, adaptive counters, workload RNG and cursor
@@ -21,10 +21,9 @@
  *
  * The container's fingerprint field binds a checkpoint to the
  * behavioural (config, workload) pair that produced it; restore()
- * refuses a mismatch with ConfigError("config.restore"). Lane count
- * and watchdog budget are excluded — they never change simulated
- * results, so a checkpoint saved at lanes=1 restores at lanes=4 and
- * vice versa.
+ * refuses a mismatch with ConfigError("config.restore"). The watchdog
+ * budget is excluded — it never changes simulated results, so a
+ * checkpoint restores under any budget.
  */
 
 #ifndef CMPSIM_CKPT_CHECKPOINT_H
@@ -53,8 +52,8 @@ struct WorkloadParams;
  * SystemConfig field that can change simulated results (including the
  * DRAM backend spec, the seed, and the audit/sample intervals, which
  * perturb event order) plus the workload's full parameter block.
- * Excludes lanes and watchdog_cycles (execution strategy, not
- * simulated machine).
+ * Excludes watchdog_cycles (a livelock bound, not simulated
+ * machine).
  */
 std::uint64_t checkpointFingerprint(const SystemConfig &config,
                                     const WorkloadParams &workload);

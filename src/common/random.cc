@@ -11,7 +11,8 @@ namespace {
  *  distinct (n, s) pairs per workload, and the constant pow()/log()
  *  below would otherwise dominate functional-mode throughput.
  *  Caching is bit-exact: the same inputs produce the same double.
- *  thread_local because sharded lanes draw concurrently. */
+ *  thread_local because CMPSIM_JOBS runs simulations concurrently
+ *  on pool threads. */
 struct ZipfEnv
 {
     std::uint64_t n = 0;

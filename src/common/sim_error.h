@@ -30,7 +30,7 @@ namespace cmpsim {
 enum class ErrorKind
 {
     Config,    ///< the user asked for an impossible system
-    Workload,  ///< benchmark/trace input missing or malformed
+    Workload,  ///< benchmark input missing or malformed
     Invariant, ///< a simulator invariant was violated (a cmpsim bug)
     Watchdog,  ///< no forward progress (livelock) or deadline missed
     Injected,  ///< deliberately injected by the fault harness
@@ -73,7 +73,7 @@ class ConfigError : public SimError
     ConfigError(std::string context, const std::string &message);
 };
 
-/** A workload input (benchmark name, trace file) is unusable. */
+/** A workload input (benchmark name) is unusable. */
 class WorkloadError : public SimError
 {
   public:

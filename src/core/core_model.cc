@@ -4,7 +4,6 @@
 
 #include "src/obs/cpi_stack.h"
 #include "src/sim/fault_injection.h"
-#include "src/sim/lane.h"
 
 namespace cmpsim {
 
@@ -110,19 +109,8 @@ CoreModel::dispatchOne(Cycle now)
         ++stores_;
         // The store's value lands in the value store now (simulator
         // convenience; see ValueStore); timing-wise the store retires
-        // from a store buffer while its MSHR throttles the core. The
-        // value store is shared across lanes, so a parallel lane tick
-        // defers the write to the barrier flush.
-        const Addr word = in.addr & ~static_cast<Addr>(3);
-        if (LaneMailbox *lane = laneContext()) {
-            lane->noteCreated(lineAddr(word));
-            lane->defer([&values = values_, word,
-                         value = in.store_value] {
-                values.writeWord(word, value);
-            });
-        } else {
-            values_.writeWord(word, in.store_value);
-        }
+        // from a store buffer while its MSHR throttles the core.
+        values_.writeWord(in.addr & ~static_cast<Addr>(3), in.store_value);
         e.type = InstrType::Store;
         e.done_at = now + 1;
         if (in.chained) {

@@ -49,13 +49,6 @@ CmpSystem::CmpSystem(const SystemConfig &config,
         config_.sample_interval =
             static_cast<Cycle>(std::strtoull(env, nullptr, 10));
     }
-    // Sharded event kernel: CMPSIM_LANES overrides the lane count
-    // (validate() rejects 0; the count is clamped to cores). Results
-    // are byte-identical at any lane count — only wall-clock changes.
-    if (const char *env = std::getenv("CMPSIM_LANES")) {
-        config_.lanes =
-            static_cast<unsigned>(std::strtoull(env, nullptr, 10));
-    }
     // Opt-in CPI-stack / miss-genealogy layer (DESIGN.md §9):
     // CMPSIM_CPISTACK arms it ("0" or empty leaves it off). Pure
     // observation — stats land in cpiStats(), never in stats().
@@ -95,8 +88,7 @@ CmpSystem::CmpSystem(const SystemConfig &config,
             for (unsigned c = 0; c < config_.cores; ++c) {
                 tracer->threadName(
                     kTraceSimPid, kJourneyTraceTidBase + c,
-                    "core " + std::to_string(c) + " journeys (lane " +
-                        std::to_string(lane_of_core_[c]) + ")");
+                    "core " + std::to_string(c) + " journeys");
             }
         }
     }
@@ -156,33 +148,11 @@ CmpSystem::~CmpSystem() = default;
 void
 CmpSystem::buildSystem()
 {
-    // Lane partitioning (DESIGN.md §12): cores map to contiguous lane
-    // blocks so lane-order mailbox replay equals core order. Lane
-    // components (L1s, cores) schedule on their lane's queue; the
-    // uncore (L2, link, DRAM) stays on eq_. All queues share one
-    // (when, seq) counter so the merged drain is one total order.
-    const unsigned lanes = std::min(
-        std::max(config_.lanes, 1u), config_.cores);
-    lane_of_core_.resize(config_.cores, 0);
-    if (lanes > 1) {
-        eq_.setSequenceSource(&lane_seq_);
-        for (unsigned l = 0; l < lanes; ++l) {
-            lane_eqs_.push_back(std::make_unique<EventQueue>());
-            lane_eqs_.back()->setSequenceSource(&lane_seq_);
-        }
-        for (unsigned c = 0; c < config_.cores; ++c)
-            lane_of_core_[c] = c * lanes / config_.cores;
-    }
-    auto laneQueue = [this, lanes](unsigned c) -> EventQueue & {
-        return lanes > 1 ? *lane_eqs_[lane_of_core_[c]] : eq_;
-    };
-
-    // Pre-size the kernel heaps so mid-run event bursts never
+    // Pre-size the kernel heap so mid-run event bursts never
     // reallocate: in-flight continuations are bounded by cores times
     // pipeline depth (each ROB slot holds at most one outstanding
     // completion, plus fetch/prefetch headroom absorbed by the bound).
-    const std::size_t depth = config_.coreParams().rob_entries;
-    eq_.reserve(config_.cores * depth);
+    eq_.reserve(config_.cores * config_.coreParams().rob_entries);
 
     values_ = std::make_unique<ValueStore>(fpc_);
     memory_ =
@@ -197,9 +167,9 @@ CmpSystem::buildSystem()
 
     for (unsigned c = 0; c < config_.cores; ++c) {
         l1i_.push_back(
-            std::make_unique<L1Cache>(laneQueue(c), *l2_, c, l1i_params));
+            std::make_unique<L1Cache>(eq_, *l2_, c, l1i_params));
         l1d_.push_back(
-            std::make_unique<L1Cache>(laneQueue(c), *l2_, c, l1d_params));
+            std::make_unique<L1Cache>(eq_, *l2_, c, l1d_params));
         // Checkpoint identity (2*cpu + data side): lets an L2 response
         // tag name which L1 to fill on restore.
         l1i_.back()->setCkptId(2 * c);
@@ -256,7 +226,7 @@ CmpSystem::buildSystem()
         streams_.push_back(std::make_unique<SyntheticWorkload>(
             workload_, *values_, c, config_.seed));
         cores_.push_back(std::make_unique<CoreModel>(
-            laneQueue(c), *l1i_[c], *l1d_[c], *values_, *streams_[c], c,
+            eq_, *l1i_[c], *l1d_[c], *values_, *streams_[c], c,
             config_.coreParams()));
     }
 
@@ -317,31 +287,6 @@ CmpSystem::buildSystem()
         });
     }
 
-    if (lanes > 1) {
-        // Lane worker crew: lanes - 1 long-lived tasks on a dedicated
-        // pool (the coordinator ticks lane 0 inline). Each lane's work
-        // is "tick my block's due cores in core order".
-        lane_pool_ = std::make_unique<ThreadPool>(lanes - 1);
-        lane_crew_ = std::make_unique<LaneCrew>(*lane_pool_, lanes);
-        for (unsigned l = 0; l < lanes; ++l) {
-            unsigned begin = config_.cores, end = 0;
-            for (unsigned c = 0; c < config_.cores; ++c) {
-                if (lane_of_core_[c] == l) {
-                    begin = std::min(begin, c);
-                    end = std::max(end, c + 1);
-                }
-            }
-            lane_eqs_[l]->reserve((end - begin) * depth);
-            lane_crew_->setWork(l, [this, begin, end](Cycle now) {
-                for (unsigned c = begin; c < end; ++c) {
-                    if (cores_[c]->nextWake() <= now)
-                        cores_[c]->tick(now);
-                }
-            });
-        }
-        lane_crew_->registerStats(lane_registry_, "lane");
-    }
-
     // Stat registration.
     l2_->registerStats(registry_, "l2");
     memory_->registerStats(registry_, "mem");
@@ -369,50 +314,6 @@ CmpSystem::buildSystem()
     // named checks on the shared registry; run() enforces it
     // periodically when config_.audit_interval is set.
     registerEventQueueAudits(audits_, eq_, "eq");
-    if (lane_crew_ != nullptr) {
-        for (unsigned l = 0; l < lane_crew_->lanes(); ++l) {
-            registerEventQueueAudits(audits_, *lane_eqs_[l],
-                                     "eq.lane" + std::to_string(l));
-        }
-        // Lane conservation: every cross-lane emission enqueued into a
-        // mailbox must have been drained at a barrier — audits only
-        // ever run between quanta, where the logs must be empty.
-        audits_.add("lane.conservation", [this](std::string &why) {
-            for (unsigned l = 0; l < lane_crew_->lanes(); ++l) {
-                const LaneMailbox &m = lane_crew_->mailbox(l);
-                if (m.opsEnqueued() != m.opsDrained() ||
-                    m.pendingOps() != 0) {
-                    why = auditFormat(
-                        "lane %u: %llu ops enqueued, %llu drained, "
-                        "%zu pending",
-                        l,
-                        static_cast<unsigned long long>(m.opsEnqueued()),
-                        static_cast<unsigned long long>(m.opsDrained()),
-                        m.pendingOps());
-                    return false;
-                }
-            }
-            return true;
-        });
-        // Cross-lane same-cycle first touches are the one sequential
-        // behaviour the lane overlay cannot reproduce (the later
-        // core's RNG stream diverges); flush detects and counts them,
-        // and byte-identical results require the count to stay zero.
-        audits_.add("lane.value_overlay", [this](std::string &why) {
-            for (unsigned l = 0; l < lane_crew_->lanes(); ++l) {
-                const LaneMailbox &m = lane_crew_->mailbox(l);
-                if (m.collisions() != 0) {
-                    why = auditFormat(
-                        "lane %u: %llu cross-lane first-touch "
-                        "collisions",
-                        l,
-                        static_cast<unsigned long long>(m.collisions()));
-                    return false;
-                }
-            }
-            return true;
-        });
-    }
     l2_->registerAudits(audits_, "l2");
     registerBandwidthResourceAudits(audits_, l2_->onchip(), "l2.onchip");
     registerPriorityLinkAudits(audits_, memory_->link(), "mem.link");
@@ -449,7 +350,6 @@ CmpSystem::resetAllStats()
         l2_adaptive_->resetStats();
     }
     ratio_samples_.reset();
-    lane_registry_.resetAll();
     cpi_registry_.resetAll();
     for (auto &a : cpi_)
         a->resetStats();
@@ -520,13 +420,6 @@ traceSampleRow(const IntervalSampler &sampler, const SampleRow &row)
 void
 CmpSystem::run(std::uint64_t instr_per_core)
 {
-    if (lane_crew_ != nullptr) {
-        // Sharded kernel (config.lanes > 1): same observable behaviour
-        // as the loop below, parallel lane ticks inside each quantum.
-        runSharded(instr_per_core);
-        return;
-    }
-
     Tracer *tracer = Tracer::armed();
     const std::uint64_t wall0 =
         tracer != nullptr ? tracer->nowWallUs() : 0;
@@ -655,177 +548,6 @@ CmpSystem::run(std::uint64_t instr_per_core)
     }
 }
 
-Cycle
-CmpSystem::nextPendingEventCycle() const
-{
-    Cycle next = eq_.nextEventCycle();
-    for (const auto &q : lane_eqs_)
-        next = std::min(next, q->nextEventCycle());
-    return next;
-}
-
-void
-CmpSystem::drainMergedTo(Cycle limit)
-{
-    // Exact k-way merge over the uncore queue plus every lane queue:
-    // all queues share one (when, seq) counter, so repeatedly running
-    // the globally smallest key replays precisely the order the
-    // single-queue kernel would have produced. Cross-queue schedules
-    // during the drain (an uncore grant completing an L1 fill, say)
-    // land in the target queue's heap with a fresh — larger — seq and
-    // are picked up by later rounds of the same scan.
-    for (;;) {
-        EventQueue *best = nullptr;
-        EventQueue::EventKey best_key;
-        auto consider = [&](EventQueue &q) {
-            EventQueue::EventKey k;
-            if (q.nextKey(k) && k.when <= limit &&
-                (best == nullptr || k.before(best_key))) {
-                best = &q;
-                best_key = k;
-            }
-        };
-        consider(eq_);
-        for (auto &q : lane_eqs_)
-            consider(*q);
-        if (best == nullptr)
-            break;
-        best->runOneEarliest();
-    }
-    eq_.syncNow(limit);
-    for (auto &q : lane_eqs_)
-        q->syncNow(limit);
-}
-
-void
-CmpSystem::runSharded(std::uint64_t instr_per_core)
-{
-    Tracer *tracer = Tracer::armed();
-    const std::uint64_t wall0 =
-        tracer != nullptr ? tracer->nowWallUs() : 0;
-
-    initRunState(instr_per_core);
-    const Cycle start = run_state_.start;
-    const std::uint64_t start_retired = run_state_.start_retired;
-    const std::uint64_t target = run_state_.target;
-
-    Cycle now = eq_.now();
-    Cycle next_sample = run_state_.next_sample;
-    const Cycle audit_interval = config_.audit_interval;
-    Cycle next_audit = run_state_.next_audit;
-    const Cycle obs_interval =
-        sampler_ != nullptr ? sampler_->interval() : 0;
-    Cycle next_obs = run_state_.next_obs;
-    std::uint64_t retired = 0;
-    for (auto &core : cores_)
-        retired += core->instructionsRetired();
-
-    const Cycle watchdog = config_.watchdog_cycles;
-    Cycle last_progress = run_state_.last_progress;
-    std::uint64_t last_retired = run_state_.last_retired;
-    std::uint64_t iterations = 0;
-
-    const std::uint64_t ckpt_every =
-        ckpt_settings_.autosaveArmed() ? ckpt_settings_.every : 0;
-    Cycle next_ckpt = ckpt_every > 0 ? now + ckpt_every : kCycleNever;
-
-    while (retired < target) {
-        if ((++iterations & 0x1ff) == 0)
-            checkPointDeadline("run");
-
-        Cycle next = nextPendingEventCycle();
-        for (auto &core : cores_)
-            next = std::min(next, core->nextWake());
-        if (next == kCycleNever) {
-            cmpsim_panic("simulation deadlock: no events, no core "
-                         "work\n%s",
-                         runDiagnostic(now).c_str());
-        }
-        if (next < now)
-            next = now;
-
-        drainMergedTo(next);
-        now = next;
-
-        {
-            // One quantum: every lane ticks its due cores in parallel
-            // with emissions deferred, then the coordinator replays
-            // the mailboxes in lane (== core) order. Probed and
-            // profiled on the coordinator — lane workers never carry
-            // the fault-plan arming, so core.stall-style probes are
-            // inert inside parallel ticks (DESIGN.md §12).
-            CMPSIM_PROF_SCOPE("lane.sync");
-            faultSite("lane.sync");
-            lane_crew_->runQuantum(now);
-            lane_crew_->flushAll();
-        }
-
-        retired = 0;
-        for (auto &core : cores_)
-            retired += core->instructionsRetired();
-
-        if (retired != last_retired) {
-            last_retired = retired;
-            last_progress = now;
-        } else if (watchdog > 0 && now - last_progress >= watchdog) {
-            traceInstant("watchdog.timeout", now,
-                         {{"stalled_cycles", now - last_progress},
-                          {"retired", retired}});
-            throw WatchdogTimeout(
-                "cmp_system.run",
-                "no instruction retired in " + std::to_string(watchdog) +
-                    " cycles (CMPSIM_WATCHDOG)\n" + runDiagnostic(now));
-        }
-
-        if (now >= next_sample) {
-            ratio_samples_.sample(l2_->compressionRatio());
-            next_sample = now + kRatioSampleInterval;
-        }
-        if (now >= next_audit) {
-            audits_.enforce();
-            next_audit = now + audit_interval;
-        }
-        if (now >= next_obs) {
-            sampler_->sampleAt(now);
-            if (traceEnabled() && !sampler_->rows().empty())
-                traceSampleRow(*sampler_, sampler_->rows().back());
-            next_obs = now + obs_interval;
-        }
-        if (now >= next_ckpt) {
-            run_state_.next_sample = next_sample;
-            run_state_.next_audit = next_audit;
-            run_state_.next_obs = next_obs;
-            run_state_.last_progress = last_progress;
-            run_state_.last_retired = last_retired;
-            saveCheckpointNow();
-            next_ckpt = now + ckpt_every;
-        }
-    }
-
-    ratio_samples_.sample(l2_->compressionRatio());
-    if (sampler_ != nullptr) {
-        sampler_->sampleAt(now);
-        if (traceEnabled() && !sampler_->rows().empty())
-            traceSampleRow(*sampler_, sampler_->rows().back());
-    }
-    if (!cpi_.empty()) {
-        // Close every open attribution window so the CPI leaves sum to
-        // exactly the measured cycles before the end-of-run audit.
-        cpiFlush(now);
-    }
-    if (audit_interval > 0)
-        audits_.enforce(); // end-of-simulation audit
-    run_state_.active = false;
-    measured_cycles_ = now - start;
-    measured_instructions_ = retired - start_retired;
-
-    if (tracer != nullptr) {
-        tracer->completeWall("phase.measure", wall0, tracer->nowWallUs(),
-                             {{"instr_per_core", instr_per_core},
-                              {"cycles", measured_cycles_}});
-    }
-}
-
 void
 CmpSystem::initRunState(std::uint64_t instr_per_core)
 {
@@ -860,15 +582,10 @@ CmpSystem::fastForward(std::uint64_t instr_per_core,
 
     // Drain to quiescence first: functional accesses evict lines, and
     // a pending fill completing into an evicted tag would corrupt the
-    // set. The loop terminates because pending events only complete
+    // set. The drain terminates because pending events only complete
     // existing work (DRAM refresh is lazy, cores create new events
     // only via tick(), which the drain never calls).
-    for (;;) {
-        const Cycle next = nextPendingEventCycle();
-        if (next == kCycleNever)
-            break;
-        drainMergedTo(std::max(next, eq_.now()));
-    }
+    eq_.drain();
 
     ff_engine_->advance(instr_per_core, warm_per_core);
     sample_state_.ff_instructions +=
@@ -900,12 +617,7 @@ CmpSystem::adoptSkip(const CmpSystem &leader,
 
     // Same pre-condition as fastForward(): functional state must not
     // change under pending timed events.
-    for (;;) {
-        const Cycle next = nextPendingEventCycle();
-        if (next == kCycleNever)
-            break;
-        drainMergedTo(std::max(next, eq_.now()));
-    }
+    eq_.drain();
 
     // The timed detail windows between skips spend a *total* budget,
     // so per-core retirement drifts across configurations by up to
@@ -955,13 +667,6 @@ CmpSystem::runDiagnostic(Cycle now) const
     const Cycle horizon = eq_.nextEventCycle();
     out += " eq.next=";
     out += horizon == kCycleNever ? "never" : std::to_string(horizon);
-    for (unsigned l = 0; l < lane_eqs_.size(); ++l) {
-        const Cycle lh = lane_eqs_[l]->nextEventCycle();
-        out += "\n  eq.lane" + std::to_string(l) +
-               ": size=" + std::to_string(lane_eqs_[l]->size()) +
-               " next=";
-        out += lh == kCycleNever ? "never" : std::to_string(lh);
-    }
     for (unsigned c = 0; c < config_.cores; ++c) {
         const Cycle wake = cores_[c]->nextWake();
         out += "\n  core." + std::to_string(c) + ": nextWake=";

@@ -29,7 +29,6 @@
 #include "src/obs/interval_sampler.h"
 #include "src/sample/fast_forward.h"
 #include "src/sample/sample_state.h"
-#include "src/sim/lane.h"
 #include "src/workload/synthetic_workload.h"
 
 namespace cmpsim {
@@ -178,33 +177,14 @@ class CmpSystem
      *  not armed. */
     FastForwardEngine *fastForwardEngine() { return ff_engine_.get(); }
 
-    /** Effective event-kernel lane count (config.lanes clamped to the
-     *  core count); 1 means the single-threaded kernel. */
-    unsigned
-    lanes() const
-    {
-        return lane_crew_ != nullptr ? lane_crew_->lanes() : 1;
-    }
-
-    /**
-     * Sharded-kernel statistics (per-lane quanta, barrier stalls,
-     * mailbox traffic). Deliberately a *separate* registry: stats()
-     * dumps feed determinism fingerprints that must stay byte-
-     * identical across lane counts, and lane bookkeeping is a
-     * property of the execution strategy, not the simulated machine.
-     * Empty when lanes() == 1.
-     */
-    StatRegistry &laneStats() { return lane_registry_; }
-    const StatRegistry &laneStats() const { return lane_registry_; }
-
     /**
      * CPI-stack and miss-genealogy statistics (config.cpi_stack /
      * CMPSIM_CPISTACK, DESIGN.md §9): per-core "cpi.<n>.<leaf>" cycle
      * counters plus "genealogy.*" journey counters and per-segment
-     * latency histograms. A *separate* registry for the same reason
-     * as laneStats(): stats() dumps feed determinism fingerprints
-     * that must stay byte-identical whether or not the attribution
-     * layer is armed. Empty when the layer is off.
+     * latency histograms. A *separate* registry: stats() dumps feed
+     * determinism fingerprints that must stay byte-identical whether
+     * or not the attribution layer is armed. Empty when the layer is
+     * off.
      */
     StatRegistry &cpiStats() { return cpi_registry_; }
     const StatRegistry &cpiStats() const { return cpi_registry_; }
@@ -245,10 +225,10 @@ class CmpSystem
     friend class CheckpointCodec;
 
     /**
-     * Mid-run loop state, promoted from run()/runSharded() locals so
-     * a checkpoint taken between iterations carries the retirement
-     * target and periodic-task cursors, letting a restored system
-     * resume toward the *original* target.
+     * Mid-run loop state, promoted from run() locals so a checkpoint
+     * taken between iterations carries the retirement target and
+     * periodic-task cursors, letting a restored system resume toward
+     * the *original* target.
      */
     struct RunState
     {
@@ -272,14 +252,6 @@ class CmpSystem
 
     void buildSystem();
     void resetAllStats();
-    /** run() body for lanes() > 1: merged serial event drain plus
-     *  parallel lane ticks with barrier replay. */
-    void runSharded(std::uint64_t instr_per_core);
-    /** Earliest pending event cycle across the uncore and lane queues. */
-    Cycle nextPendingEventCycle() const;
-    /** Run every event with (when, seq) at or before @p limit in exact
-     *  global order across all queues, then sync every now() to it. */
-    void drainMergedTo(Cycle limit);
     /** One-line-per-item progress diagnostic for watchdog/deadlock
      *  reports: event-queue depth and horizon plus per-core state. */
     std::string runDiagnostic(Cycle now) const;
@@ -291,14 +263,7 @@ class CmpSystem
     SystemConfig config_;
     WorkloadParams workload_;
 
-    EventQueue eq_; ///< uncore queue (and the only queue at lanes=1)
-    /** Shared (when, seq) source across all queues at lanes > 1, so
-     *  the merged drain replays one global total order. */
-    std::uint64_t lane_seq_ = 0;
-    std::vector<std::unique_ptr<EventQueue>> lane_eqs_; ///< per lane
-    std::vector<unsigned> lane_of_core_;
-    std::unique_ptr<ThreadPool> lane_pool_; ///< destroyed after crew_
-    std::unique_ptr<LaneCrew> lane_crew_;
+    EventQueue eq_;
     FpcCompressor fpc_;
     std::unique_ptr<ValueStore> values_;
     std::unique_ptr<MainMemory> memory_;
@@ -318,7 +283,6 @@ class CmpSystem
     std::vector<std::unique_ptr<CpiAccount>> cpi_;  ///< per core
 
     StatRegistry registry_;
-    StatRegistry lane_registry_; ///< see laneStats()
     StatRegistry cpi_registry_;  ///< see cpiStats()
     InvariantRegistry audits_;
     Average ratio_samples_;

@@ -120,9 +120,10 @@ namespace {
  * <crc> is the CRC-32 of the record body, so a corrupted *interior*
  * record (bit rot, partial overwrite) is detected — the journal is
  * truncated at the first bad record, keeping the valid prefix, rather
- * than trusting a body whose framing happens to still line up. v1
- * files (no CRC field) are still read; loading one rewrites it in v2
- * so every on-disk journal converges to the checked format.
+ * than trusting a body whose framing happens to still line up. Any
+ * other header (including the retired v1 format, which had no CRC
+ * field) is unrecognisable: the file restarts as an empty v2 journal
+ * and its points re-run.
  *
  * Loading tolerates a crash mid-append: the valid prefix is kept and
  * the partial tail truncated away, so a journal is usable after any
@@ -164,7 +165,6 @@ class Journal
 
   private:
     static constexpr const char *kHeader = "cmpsim-journal v2\n";
-    static constexpr const char *kHeaderV1 = "cmpsim-journal v1\n";
 
     static std::string
     recordHead(std::uint64_t fp, const std::string &bytes)
@@ -190,17 +190,9 @@ class Journal
         }
 
         const std::string header = kHeader;
-        const std::string header_v1 = kHeaderV1;
-        const bool v2 = content.compare(0, header.size(), header) == 0;
-        const bool v1 =
-            !v2 && content.compare(0, header_v1.size(), header_v1) == 0;
-
-        // Parse-order record list: the map serves lookups, the vector
-        // preserves append order for the v1 -> v2 rewrite.
-        std::vector<std::pair<std::uint64_t, std::string>> ordered;
         std::size_t good = 0;
-        if (v2 || v1) {
-            std::size_t pos = header.size(); // both headers same length
+        if (content.compare(0, header.size(), header) == 0) {
+            std::size_t pos = header.size();
             good = pos;
             while (pos < content.size()) {
                 if (content.compare(pos, 6, "point ") != 0)
@@ -215,15 +207,10 @@ class Journal
                     break;
                 p = end + 1;
                 const std::uint64_t len = std::strtoull(p, &end, 10);
-                if (end == p)
+                if (end == p || *end != ' ')
                     break;
-                std::uint64_t crc = 0;
-                if (v2) {
-                    if (*end != ' ')
-                        break;
-                    p = end + 1;
-                    crc = std::strtoull(p, &end, 16);
-                }
+                p = end + 1;
+                const std::uint64_t crc = std::strtoull(p, &end, 16);
                 if (end != content.c_str() + nl)
                     break;
                 const std::size_t body = nl + 1;
@@ -232,12 +219,11 @@ class Journal
                 if (content.compare(body + len, 4, "end\n") != 0)
                     break;
                 std::string bytes = content.substr(body, len);
-                if (v2 && ckpt::crc32(bytes.data(), bytes.size()) !=
-                              static_cast<std::uint32_t>(crc)) {
+                if (ckpt::crc32(bytes.data(), bytes.size()) !=
+                    static_cast<std::uint32_t>(crc)) {
                     break; // interior corruption: keep the prefix
                 }
-                records_[fp] = bytes;
-                ordered.emplace_back(fp, std::move(bytes));
+                records_[fp] = std::move(bytes);
                 pos = body + len + 4;
                 good = pos;
             }
@@ -249,16 +235,6 @@ class Journal
                                 std::ios::binary | std::ios::trunc);
             if (fresh.is_open())
                 fresh << header;
-        } else if (v1) {
-            // Upgrade in place: rewrite the valid prefix with CRCs so
-            // subsequent appends and reloads are all one format.
-            std::ofstream fresh(path_,
-                                std::ios::binary | std::ios::trunc);
-            if (fresh.is_open()) {
-                fresh << header;
-                for (const auto &[fp, bytes] : ordered)
-                    fresh << recordHead(fp, bytes) << bytes << "end\n";
-            }
         } else if (good < content.size()) {
             // Drop the corrupt/partial tail.
             std::filesystem::resize_file(path_, good);
@@ -784,10 +760,7 @@ pointSpecBytes(const PointSpec &spec)
     // / audit_fill_roundtrip / watchdog_cycles (observability only —
     // they abort bad runs, never change good ones), sample_interval
     // (pure observation: the sampler only reads counters, so a
-    // sampled and an unsampled run are byte-identical), and lanes
-    // (the sharded kernel replays the sequential event order exactly,
-    // so results are byte-identical at any lane count — enforced by
-    // determinism_check's lanes leg and LaneKernelTest).
+    // sampled and an unsampled run are byte-identical).
     kv("cores", c.cores);
     kv("scale", c.scale);
     kv("cache_compression", c.cache_compression);

@@ -34,13 +34,6 @@ SystemConfig::validate() const
     }
     if (scale < 1)
         reject("config.scale", "scale must be >= 1");
-    if (lanes < 1 || lanes > kMaxCores) {
-        // Excess lanes beyond the core count are merely clamped, but a
-        // value outside any sane range is a mistyped CMPSIM_LANES.
-        reject("config.lanes", "lanes must be 1.." +
-                                   std::to_string(kMaxCores) + ", got " +
-                                   std::to_string(lanes));
-    }
 
     const L1Params l1 = l1Params();
     if (l1.ways == 0)

@@ -25,17 +25,9 @@
  *    elapsed cycles (the obs.cpi_conservation audit).
  *
  * Arming is opt-in (SystemConfig::cpi_stack / CMPSIM_CPISTACK) and all
- * stats land in a separate registry (CmpSystem::cpiStats()), mirroring
- * laneStats(): default stat dumps — and therefore the determinism
- * fingerprints — are byte-identical whether or not the layer is armed.
- *
- * Threading (lanes > 1): every MissJournal mutation happens in serial
- * event callbacks (the merged drain and mailbox replay both run on the
- * coordinator); parallel lane ticks only *read* the journal through
- * CpiAccount, and each CpiAccount is written solely by the lane that
- * owns its core. Per-core accounts registered in core order therefore
- * merge in canonical lane order with no atomics and no divergence
- * across lane counts.
+ * stats land in a separate registry (CmpSystem::cpiStats()): default
+ * stat dumps — and therefore the determinism fingerprints — are
+ * byte-identical whether or not the layer is armed.
  */
 
 #ifndef CMPSIM_OBS_CPI_STACK_H
@@ -174,7 +166,7 @@ class MissJournal
      *  or budget-dropped). Only closes pure prefetch records. */
     void onPrefetchSquashed(Addr line, Cycle when);
 
-    // ---- reads (safe from parallel lane ticks) ----
+    // ---- reads ----
 
     /** Latest journey record for @p line, or nullptr. */
     const MissRecord *find(Addr line) const;

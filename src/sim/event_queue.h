@@ -46,25 +46,6 @@ class EventQueue
   public:
     using Callback = std::function<void()>;
 
-    /**
-     * Exact (when, seq) identity of a pending event. When several
-     * queues share one sequence source (setSequenceSource), these keys
-     * form a single global total order across all of them — the
-     * sharded kernel's merged drain compares keys to replay exactly
-     * the order a single queue would have produced.
-     */
-    struct EventKey
-    {
-        Cycle when = 0;
-        std::uint64_t seq = 0;
-
-        bool
-        before(const EventKey &o) const
-        {
-            return when != o.when ? when < o.when : seq < o.seq;
-        }
-    };
-
     /** Current simulated cycle. */
     Cycle now() const { return now_; }
 
@@ -79,17 +60,6 @@ class EventQueue
         heap_.reserve(events);
         same_cycle_.reserve(events);
     }
-
-    /**
-     * Draw sequence numbers from @p seq instead of the queue's own
-     * counter. The sharded kernel points every lane queue and the
-     * uncore queue at one shared counter, so (when, seq) stays a
-     * total order across queues. All scheduling must happen on one
-     * thread (the coordinator) — the counter is not atomic, by
-     * design: parallel lane ticks defer emissions into mailboxes
-     * precisely so that seq assignment stays deterministic.
-     */
-    void setSequenceSource(std::uint64_t *seq) { seq_src_ = seq; }
 
     /**
      * Schedule @p cb at @p when. @pre when >= now(). The optional
@@ -108,11 +78,11 @@ class EventQueue
             // Same-cycle continuation: newest seq by construction, so
             // FIFO append order is (when, seq) order.
             same_cycle_.push_back(
-                Event{when, (*seq_src_)++, std::move(cb), std::move(tag)});
+                Event{when, seq_++, std::move(cb), std::move(tag)});
             return;
         }
         heap_.push_back(
-            Event{when, (*seq_src_)++, std::move(cb), std::move(tag)});
+            Event{when, seq_++, std::move(cb), std::move(tag)});
         siftUp(heap_.size() - 1);
     }
 
@@ -138,34 +108,10 @@ class EventQueue
     }
 
     /**
-     * Exact key of the earliest pending event. @return false when the
-     * queue is empty. Unlike nextEventCycle() this compares the heap
-     * front against the FIFO head by full (when, seq) — during a
-     * merged drain another queue's event may have scheduled into this
-     * queue's heap *at* the current cycle, with a seq younger than the
-     * FIFO's entries.
-     */
-    bool
-    nextKey(EventKey &out) const
-    {
-        const bool fifo = same_head_ < same_cycle_.size();
-        if (!fifo && heap_.empty())
-            return false;
-        if (fifo && (heap_.empty() ||
-                     same_cycle_[same_head_].before(heap_.front()))) {
-            out = EventKey{same_cycle_[same_head_].when,
-                           same_cycle_[same_head_].seq};
-        } else {
-            out = EventKey{heap_.front().when, heap_.front().seq};
-        }
-        return true;
-    }
-
-    /**
      * Pop and run the single earliest event (exact (when, seq) order
      * across the heap and the FIFO), advancing now() to its cycle.
-     * The sharded kernel's merged drain calls this on whichever queue
-     * currently holds the global minimum. @pre !empty().
+     * The benchmark's event-kernel replay (perfbench/replay.cc) times
+     * single dispatches with it. @pre !empty().
      */
     void
     runOneEarliest()
@@ -189,26 +135,6 @@ class EventQueue
     }
 
     /**
-     * Jump now() forward to @p when without running anything: the
-     * merged drain has already executed every event at or before it
-     * (possibly out of this queue's runDue() order, hence a separate
-     * entry point). @pre nothing due at or before @p when remains.
-     */
-    void
-    syncNow(Cycle when)
-    {
-        cmpsim_assert(when >= now_,
-                      "syncNow into the past: when=%llu now=%llu",
-                      static_cast<unsigned long long>(when),
-                      static_cast<unsigned long long>(now_));
-        cmpsim_assert(same_head_ == same_cycle_.size() &&
-                          (heap_.empty() || heap_.front().when > when),
-                      "syncNow(%llu) would skip a due event",
-                      static_cast<unsigned long long>(when));
-        now_ = when;
-    }
-
-    /**
      * Advance now() to @p when and run every event scheduled at or
      * before it, in time order. @pre when >= now().
      */
@@ -225,7 +151,8 @@ class EventQueue
 
     /**
      * Run events until the queue drains or @p limit cycles elapse.
-     * Used by unit tests and by components driven without cores.
+     * Used by unit tests, by components driven without cores, and by
+     * CmpSystem to quiesce before functional fast-forward.
      * @return number of events executed.
      */
     std::uint64_t
@@ -348,8 +275,7 @@ class EventQueue
     std::vector<Event> same_cycle_; ///< FIFO of events at now()
     std::size_t same_head_ = 0;     ///< first unconsumed FIFO slot
     Cycle now_ = 0;
-    std::uint64_t own_seq_ = 0;     ///< default sequence counter
-    std::uint64_t *seq_src_ = &own_seq_; ///< see setSequenceSource()
+    std::uint64_t seq_ = 0;         ///< next sequence number
 };
 
 } // namespace cmpsim

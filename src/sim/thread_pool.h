@@ -2,13 +2,10 @@
  * @file
  * Fixed-size worker pool for fanning out independent simulations.
  *
- * Two users: the experiment layer fans independent (config, workload,
- * seed) points out as one task each, and the sharded event kernel
- * (src/sim/lane.h) parks one long-lived lane-worker task per extra
- * lane on a dedicated pool. A plain FIFO queue is enough for both —
- * experiment tasks are seconds-long simulations and lane workers
- * never return until teardown, so queue contention is irrelevant and
- * work stealing would buy nothing.
+ * The experiment layer fans independent (config, workload, seed)
+ * points out as one task each. A plain FIFO queue is enough: tasks
+ * are seconds-long simulations, so queue contention is irrelevant
+ * and work stealing would buy nothing.
  */
 
 #ifndef CMPSIM_SIM_THREAD_POOL_H

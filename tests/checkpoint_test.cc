@@ -176,32 +176,6 @@ TEST(CheckpointTest, AutosaveResumeMatchesUninterruptedRun)
     removeSnapshots(path);
 }
 
-TEST(CheckpointTest, SnapshotRestoresAcrossLaneCounts)
-{
-    const SystemConfig cfg = smallConfig();
-    const std::uint64_t baseline = runToEnd(cfg, "apsi");
-
-    const std::string path = ckptPath("LaneRestore");
-    removeSnapshots(path);
-    {
-        EnvGuard ckpt("CMPSIM_CKPT", path + ":every500");
-        EXPECT_EQ(runToEnd(cfg, "apsi"), baseline);
-    }
-    {
-        // A snapshot saved by the single-threaded kernel resumes on
-        // the sharded kernel (CMPSIM_LANES invariance, DESIGN.md §12)
-        // with identical results.
-        EnvGuard restore("CMPSIM_RESTORE", path);
-        EnvGuard lanes("CMPSIM_LANES", "4");
-        SystemConfig sharded = cfg;
-        sharded.lanes = 4;
-        CmpSystem sys(sharded, benchmarkParams("apsi"));
-        sys.run(kMeasure);
-        EXPECT_EQ(statsHash(sys), baseline);
-    }
-    removeSnapshots(path);
-}
-
 TEST(CheckpointTest, BankedDramStateRoundtrips)
 {
     SystemConfig cfg = smallConfig();

@@ -157,87 +157,6 @@ TEST(EventQueueTest, ReservePreservesOrderAndContents)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], 31 - i);
 }
 
-TEST(EventQueueTest, SharedSequenceSourceMergesAcrossQueues)
-{
-    // Two queues drawing from one counter: a merged drain by exact
-    // (when, seq) must replay the global schedule order, including
-    // same-cycle events split across the queues.
-    std::uint64_t seq = 0;
-    EventQueue a;
-    EventQueue b;
-    a.setSequenceSource(&seq);
-    b.setSequenceSource(&seq);
-
-    std::vector<int> order;
-    a.schedule(10, [&] { order.push_back(0); });
-    b.schedule(10, [&] { order.push_back(1); });
-    a.schedule(5, [&] { order.push_back(2); });
-    b.schedule(10, [&] { order.push_back(3); });
-    a.schedule(10, [&] { order.push_back(4); });
-
-    while (true) {
-        EventQueue::EventKey ka, kb;
-        const bool ha = a.nextKey(ka);
-        const bool hb = b.nextKey(kb);
-        if (!ha && !hb)
-            break;
-        EventQueue &next =
-            !hb || (ha && ka.before(kb)) ? a : b;
-        next.runOneEarliest();
-    }
-    // Global order: the cycle-5 event first, then the cycle-10 events
-    // in schedule order regardless of queue.
-    EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 3, 4}));
-}
-
-TEST(EventQueueTest, NextKeySeesSameCycleCrossQueueScheduling)
-{
-    // While queue A executes an event at cycle T, it may schedule into
-    // queue B *at* T (an L1 fill completing a waiter). B's nextKey must
-    // rank that younger event after A's remaining FIFO entries — the
-    // exact (when, seq) comparison, not just cycle numbers.
-    std::uint64_t seq = 0;
-    EventQueue a;
-    EventQueue b;
-    a.setSequenceSource(&seq);
-    b.setSequenceSource(&seq);
-
-    std::vector<int> order;
-    a.schedule(7, [&] {
-        order.push_back(0);
-        a.schedule(7, [&] { order.push_back(1); }); // FIFO, seq younger
-        b.schedule(7, [&] { order.push_back(2); }); // heap, youngest
-    });
-    while (true) {
-        EventQueue::EventKey ka, kb;
-        const bool ha = a.nextKey(ka);
-        const bool hb = b.nextKey(kb);
-        if (!ha && !hb)
-            break;
-        (!hb || (ha && ka.before(kb)) ? a : b).runOneEarliest();
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EventQueueTest, SyncNowAdvancesWithoutRunning)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(20, [&] { ++fired; });
-    eq.syncNow(10);
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_EQ(fired, 0);
-    // An event exactly at the barrier cycle is still pending — the
-    // quantum boundary must run it before syncing past it.
-    EventQueue::EventKey k;
-    ASSERT_TRUE(eq.nextKey(k));
-    EXPECT_EQ(k.when, 20u);
-    eq.runOneEarliest();
-    EXPECT_EQ(fired, 1);
-    eq.syncNow(20);
-    EXPECT_EQ(eq.now(), 20u);
-}
-
 TEST(EventQueueTest, RunOneEarliestAdvancesNowPerEvent)
 {
     EventQueue eq;
@@ -248,6 +167,23 @@ TEST(EventQueueTest, RunOneEarliestAdvancesNowPerEvent)
     eq.runOneEarliest();
     EXPECT_EQ(seen, (std::vector<Cycle>{3, 8}));
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueTest, RunOneEarliestRunsHeapPeersBeforeContinuations)
+{
+    // A same-cycle continuation is younger than a heap entry already
+    // pending at that cycle, so single-stepping must run the heap
+    // entry first: exact (when, seq) order, as drain() would.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&] {
+        order.push_back(0);
+        eq.schedule(5, [&] { order.push_back(2); });
+    });
+    eq.schedule(5, [&] { order.push_back(1); });
+    while (!eq.empty())
+        eq.runOneEarliest();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueueTest, InterleavedCyclesKeepScheduleOrder)

@@ -255,27 +255,6 @@ TEST(SamplingDeterminismTest, RepeatRunsAreByteIdentical)
     EXPECT_EQ(samples[0], samples[1]);
 }
 
-TEST(SamplingDeterminismTest, LaneCountDoesNotChangeTheReport)
-{
-    // The sampled path composes with the sharded event kernel: the
-    // published summary must be identical at any lane count.
-    PointSpec spec;
-    spec.config = smallConfig();
-    spec.config.sampling = SamplingPlan::parse("6000:2000:3:warm2000");
-    spec.benchmark = "zeus";
-    spec.lengths.warmup_per_core = 2000;
-    spec.lengths.measure_per_core = 0; // sampled runs ignore it
-    spec.seeds = 2;
-
-    PointSpec wide = spec;
-    wide.config.lanes = 4;
-
-    const auto narrow_res = runPoints({spec});
-    const auto wide_res = runPoints({wide});
-    EXPECT_EQ(fnv1a(summaryBytes(narrow_res.front())),
-              fnv1a(summaryBytes(wide_res.front())));
-}
-
 // ------------------------------------------- checkpoint mid-plan
 
 TEST(SamplingCheckpointTest, MidPlanRestoreFinishesByteIdentical)

@@ -46,7 +46,7 @@ TEST(SimErrorTest, TransienceSplitsDeterministicFromRetryable)
     EXPECT_TRUE(errorKindTransient(ErrorKind::Injected));
     EXPECT_TRUE(errorKindTransient(ErrorKind::Internal));
     EXPECT_TRUE(InjectedFault("l2.fill", 3, 1).transient());
-    EXPECT_FALSE(WorkloadError("trace.read", "gone").transient());
+    EXPECT_FALSE(WorkloadError("benchmark", "gone").transient());
 }
 
 TEST(SimErrorTest, HierarchyIsCatchableAsSimError)

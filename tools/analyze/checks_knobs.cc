@@ -45,7 +45,6 @@ configCoverage()
 {
     static const std::map<std::string, std::string> m = {
         {"CMPSIM_DRAM", "config.dram"},
-        {"CMPSIM_LANES", "config.lanes"},
         {"CMPSIM_CPISTACK", "config.cpistack"},
         {"CMPSIM_CKPT", "config.ckpt"},
         {"CMPSIM_RESTORE", "config.restore"},

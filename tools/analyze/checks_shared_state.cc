@@ -4,9 +4,9 @@
  * statics in the simulation-kernel directories (src/sim, src/cache,
  * src/dram). The determinism guarantee rests on DESIGN.md section
  * 7's ownership model — one CmpSystem owns all of its state — and
- * the planned sharded event kernel will run lanes of one simulation
- * concurrently, so hidden cross-lane state in these directories is
- * the first thing that refactor would trip over. Every such variable
+ * CMPSIM_JOBS runs whole simulations concurrently on pool threads,
+ * so hidden state in these directories would be shared between
+ * simulations that must not see each other. Every such variable
  * must be const/constexpr, std::atomic, or carry an explicit
  * suppression arguing why it is safe (e.g. thread_local fault-probe
  * arming, which is scoped per worker by design).

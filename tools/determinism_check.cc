@@ -15,26 +15,21 @@
  * compression, prefetching, adaptive throttling — with periodic
  * invariant audits and per-fill round-trip verification enabled.
  *
- * A second leg checks the sharded event kernel: the same run with
- * config.lanes = 4 and 8 must hash identically to the single-threaded
- * baseline (the CMPSIM_LANES invariance — see DESIGN.md Section 12).
- *
- * A third leg checks the parallel experiment runner: the same
+ * A second leg checks the parallel experiment runner: the same
  * workloads batched through runPoints() with 1 worker and again with
  * 4 must produce byte-identical metric summaries (the CMPSIM_JOBS
  * invariance every bench table now depends on).
  *
- * A fourth leg checks checkpoint/restore (DESIGN.md Section 13): a
+ * A third leg checks checkpoint/restore (DESIGN.md Section 13): a
  * run with periodic CMPSIM_CKPT autosaves must hash identically to
  * the plain baseline (saving is a pure observer), and a fresh system
  * resumed from the last mid-run snapshot with CMPSIM_RESTORE must
- * finish with that same hash — at lanes 1 and at lanes 4, proving
- * snapshots are portable across kernel shard counts.
+ * finish with that same hash.
  *
- * A fifth leg checks the statistical sampling engine (DESIGN.md
- * Section 14): a sampled run must reproduce across lane counts
- * (1 vs 4), across runner worker counts (jobs 1 vs 4 on the published
- * summaries), and across a mid-plan checkpoint/restore.
+ * A fourth leg checks the statistical sampling engine (DESIGN.md
+ * Section 14): a sampled run must reproduce across runner worker
+ * counts (jobs 1 vs 4 on the published summaries) and across a
+ * mid-plan checkpoint/restore.
  *
  *   determinism_check [workload ...]      # default: zeus apsi
  *
@@ -60,13 +55,9 @@ namespace {
 
 using cmpsim::fnv1a;
 
-/**
- * One full warmup + measured run; returns the stats fingerprint.
- * @p lanes selects the event-kernel shard count (0 = leave the
- * config's default, i.e. whatever CMPSIM_LANES says).
- */
+/** One full warmup + measured run; returns the stats fingerprint. */
 std::uint64_t
-runOnce(const std::string &workload, unsigned lanes = 0)
+runOnce(const std::string &workload)
 {
     using namespace cmpsim;
     // Full feature set so every subsystem participates in the hash.
@@ -78,8 +69,6 @@ runOnce(const std::string &workload, unsigned lanes = 0)
     cfg.seed = 12345;
     cfg.audit_interval = 10000;
     cfg.audit_fill_roundtrip = true;
-    if (lanes != 0)
-        cfg.lanes = lanes;
 
     CmpSystem sys(cfg, benchmarkParams(workload));
     sys.warmup(20000);
@@ -91,38 +80,6 @@ runOnce(const std::string &workload, unsigned lanes = 0)
     out << "instructions " << sys.instructions() << "\n";
     out << "audit_passes " << sys.audits().passesRun() << "\n";
     return fnv1a(out.str());
-}
-
-/**
- * Sharded-kernel leg: the same run with the event kernel split over
- * 4 and 8 lanes must fingerprint identically to @p baseline (the
- * single-threaded kernel's hash from the main leg). Returns 0 on
- * success, 1 on any divergence.
- */
-int
-checkLanes(const std::vector<std::string> &workloads,
-           const std::vector<std::uint64_t> &baseline)
-{
-    int status = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const std::uint64_t h4 = runOnce(workloads[i], 4);
-        const std::uint64_t h8 = runOnce(workloads[i], 8);
-        if (h4 == baseline[i] && h8 == baseline[i]) {
-            std::printf("determinism_check: %-8s ok    %016llx "
-                        "(lanes 1 == 4 == 8)\n",
-                        workloads[i].c_str(),
-                        static_cast<unsigned long long>(baseline[i]));
-        } else {
-            std::printf("determinism_check: %-8s FAIL  %016llx vs "
-                        "%016llx (lanes 4) vs %016llx (lanes 8)\n",
-                        workloads[i].c_str(),
-                        static_cast<unsigned long long>(baseline[i]),
-                        static_cast<unsigned long long>(h4),
-                        static_cast<unsigned long long>(h8));
-            status = 1;
-        }
-    }
-    return status;
 }
 
 /**
@@ -177,8 +134,8 @@ checkParallelRunner(const std::vector<std::string> &workloads)
  * Checkpoint-resume leg: autosave every few thousand cycles while
  * running to completion (hash must equal @p baseline — a save never
  * perturbs simulation), then resume a fresh system from the last
- * mid-run snapshot at lanes 1 and lanes 4 (each must finish with the
- * baseline hash). Returns 0 on success, 1 on any divergence.
+ * mid-run snapshot (it must finish with the baseline hash). Returns
+ * 0 on success, 1 on any divergence.
  */
 int
 checkCheckpointResume(const std::vector<std::string> &workloads,
@@ -214,25 +171,22 @@ checkCheckpointResume(const std::vector<std::string> &workloads,
         unsetenv("CMPSIM_CKPT");
 
         setenv("CMPSIM_RESTORE", path.c_str(), 1);
-        const std::uint64_t resume1 = runOnce(workloads[i]);
-        const std::uint64_t resume4 = runOnce(workloads[i], 4);
+        const std::uint64_t resume = runOnce(workloads[i]);
         unsetenv("CMPSIM_RESTORE");
 
-        if (save == baseline[i] && resume1 == baseline[i] &&
-            resume4 == baseline[i]) {
+        if (save == baseline[i] && resume == baseline[i]) {
             std::printf("determinism_check: %-8s ok    %016llx "
-                        "(ckpt save == resume == resume-lanes4)\n",
+                        "(ckpt save == resume)\n",
                         workloads[i].c_str(),
                         static_cast<unsigned long long>(baseline[i]));
         } else {
             std::printf("determinism_check: %-8s FAIL  baseline "
                         "%016llx vs %016llx (ckpt save) vs %016llx "
-                        "(resume) vs %016llx (resume lanes 4)\n",
+                        "(resume)\n",
                         workloads[i].c_str(),
                         static_cast<unsigned long long>(baseline[i]),
                         static_cast<unsigned long long>(save),
-                        static_cast<unsigned long long>(resume1),
-                        static_cast<unsigned long long>(resume4));
+                        static_cast<unsigned long long>(resume));
             status = 1;
         }
         std::remove(path.c_str());
@@ -248,10 +202,9 @@ checkCheckpointResume(const std::vector<std::string> &workloads,
 /**
  * Statistical-sampling leg (DESIGN.md Section 14): a sampled run must
  * be as reproducible as a full-detail one. Checks, per workload:
- * lanes 1 == 4 on the stats hash of a direct sampled run, jobs 1 == 4
- * on the published summary of a sampled batch, and a fresh system
- * resumed from a mid-plan autosave finishing with the straight-run
- * hash. Returns 0 on success, 1 on any divergence.
+ * a fresh system resumed from a mid-plan autosave finishing with the
+ * straight-run stats hash, and jobs 1 == 4 on the published summary
+ * of a sampled batch. Returns 0 on success, 1 on any divergence.
  */
 int
 checkSampledRuns(const std::vector<std::string> &workloads)
@@ -273,9 +226,8 @@ checkSampledRuns(const std::vector<std::string> &workloads)
     if (sample_env != nullptr)
         unsetenv("CMPSIM_SAMPLE_CYCLES");
 
-    // Direct sampled run at a given lane count -> stats hash.
-    const auto sampledOnce = [&](const std::string &workload,
-                                 unsigned lanes) {
+    // Direct sampled run -> stats hash.
+    const auto sampledOnce = [&](const std::string &workload) {
         SystemConfig cfg = makeConfig(/*cores=*/4, /*scale=*/4,
                                       /*cache_compression=*/true,
                                       /*link_compression=*/true,
@@ -284,8 +236,6 @@ checkSampledRuns(const std::vector<std::string> &workloads)
         cfg.seed = 12345;
         cfg.audit_interval = 10000;
         cfg.sampling = SamplingPlan::parse(kPlan);
-        if (lanes != 0)
-            cfg.lanes = lanes;
         CmpSystem sys(cfg, benchmarkParams(workload));
         sys.warmup(20000);
         SamplingController(sys).run();
@@ -299,35 +249,33 @@ checkSampledRuns(const std::vector<std::string> &workloads)
     int status = 0;
     const std::string path = "determinism_check_sampled_ckpt.bin";
     for (const std::string &w : workloads) {
-        const std::uint64_t h1 = sampledOnce(w, 1);
-        const std::uint64_t h4 = sampledOnce(w, 4);
+        const std::uint64_t h1 = sampledOnce(w);
 
         // Mid-plan checkpoint: autosave while running to completion,
         // then resume a fresh system from the last (mid-plan)
-        // snapshot; both must land on the lanes-1 hash.
+        // snapshot; both must land on the straight-run hash.
         std::remove(path.c_str());
         std::remove((path + ".prev").c_str());
         setenv("CMPSIM_CKPT", (path + ":every3000").c_str(), 1);
-        const std::uint64_t save = sampledOnce(w, 1);
+        const std::uint64_t save = sampledOnce(w);
         unsetenv("CMPSIM_CKPT");
         setenv("CMPSIM_RESTORE", path.c_str(), 1);
-        const std::uint64_t resume = sampledOnce(w, 1);
+        const std::uint64_t resume = sampledOnce(w);
         unsetenv("CMPSIM_RESTORE");
         std::remove(path.c_str());
         std::remove((path + ".prev").c_str());
 
-        if (h1 == h4 && save == h1 && resume == h1) {
+        if (save == h1 && resume == h1) {
             std::printf("determinism_check: %-8s ok    %016llx "
-                        "(sampled: lanes 1 == 4, midplan resume)\n",
+                        "(sampled: midplan resume)\n",
                         w.c_str(),
                         static_cast<unsigned long long>(h1));
         } else {
             std::printf("determinism_check: %-8s FAIL  sampled "
-                        "%016llx vs %016llx (lanes 4) vs %016llx "
-                        "(ckpt save) vs %016llx (midplan resume)\n",
+                        "%016llx vs %016llx (ckpt save) vs %016llx "
+                        "(midplan resume)\n",
                         w.c_str(),
                         static_cast<unsigned long long>(h1),
-                        static_cast<unsigned long long>(h4),
                         static_cast<unsigned long long>(save),
                         static_cast<unsigned long long>(resume));
             status = 1;
@@ -399,7 +347,6 @@ run(const std::vector<std::string> &workloads)
             status = 1;
         }
     }
-    status |= checkLanes(workloads, baseline);
     status |= checkParallelRunner(workloads);
     status |= checkCheckpointResume(workloads, baseline);
     status |= checkSampledRuns(workloads);
