@@ -51,8 +51,7 @@ L1Cache::onPrefetchBitHit(TagEntry &e, Cycle when)
 }
 
 void
-L1Cache::access(Addr addr, bool is_write, Cycle when, Done done,
-                ckpt::Tag tag)
+L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
 {
     cmpsim_assert(canAccept(addr));
     const Addr line = lineAddr(addr);
@@ -68,15 +67,13 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done,
         if (!is_write || e->dirty) {
             // Plain hit (read, or write to an M line).
             ++hits_;
-            scheduleDone(when + params_.hit_latency, std::move(done),
-                         std::move(tag));
+            scheduleDone(when + params_.hit_latency, std::move(done));
             return;
         }
         // Write to an S line: upgrade through the directory.
         ++upgrades_;
         demandMiss(line, true, /*upgrade=*/true,
-                   when + params_.hit_latency, std::move(done),
-                   std::move(tag));
+                   when + params_.hit_latency, std::move(done));
         return;
     }
 
@@ -95,13 +92,12 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done,
     }
 
     demandMiss(line, is_write, /*upgrade=*/false,
-               when + params_.hit_latency, std::move(done),
-               std::move(tag));
+               when + params_.hit_latency, std::move(done));
 }
 
 void
 L1Cache::demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
-                    Done done, ckpt::Tag tag)
+                    Done done)
 {
     (void)upgrade;
     auto it = mshrs_.find(line);
@@ -110,16 +106,14 @@ L1Cache::demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
         if (m.prefetch_only)
             ++partial_hits_;
         m.prefetch_only = false;
-        m.waiters.push_back(
-            Waiter{is_write, std::move(done), std::move(tag)});
+        m.waiters.push_back(Waiter{is_write, std::move(done)});
         return;
     }
 
     Mshr m;
     m.prefetch_only = false;
     m.requested_exclusive = is_write;
-    m.waiters.push_back(
-        Waiter{is_write, std::move(done), std::move(tag)});
+    m.waiters.push_back(Waiter{is_write, std::move(done)});
     mshrs_.emplace(line, std::move(m));
 
     requestFromL2(line, is_write, ReqType::Demand, when);
@@ -146,12 +140,9 @@ L1Cache::prefetchLine(Addr line, Cycle when)
 }
 
 void
-L1Cache::scheduleDone(Cycle at, Done done, ckpt::Tag tag)
+L1Cache::scheduleDone(Cycle at, Done done)
 {
-    ckpt::Tag ev_tag =
-        ckpt::tag(ckpt::kDoneAt, at, 0, 0, 0, std::move(tag));
-    eq_.schedule(at, [done = std::move(done), at] { done(at); },
-                 std::move(ev_tag));
+    eq_.schedule(at, [done = std::move(done), at] { done(at); });
 }
 
 void
@@ -160,8 +151,7 @@ L1Cache::requestFromL2(Addr line, bool is_write, ReqType type, Cycle when)
     l2_.request(cpu_, line, is_write, type, when,
                 [this, line](Cycle at, bool excl, bool comp) {
                     fill(line, at, excl, comp);
-                },
-                ckpt::tag(ckpt::kL1Fill, ckpt_id_, line));
+                });
 }
 
 void
@@ -207,7 +197,7 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
         // call so the core sees a consistent event time. Fills only
         // run during the serial merged drain, so scheduleDone here is
         // always the direct path.
-        scheduleDone(at, std::move(w.done), std::move(w.tag));
+        scheduleDone(at, std::move(w.done));
     }
 }
 

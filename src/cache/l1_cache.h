@@ -28,7 +28,6 @@
 #include "src/cache/decoupled_set.h"
 #include "src/cache/l2_cache.h"
 #include "src/cache/request_types.h"
-#include "src/ckpt/cont_tag.h"
 #include "src/common/stats.h"
 #include "src/prefetch/adaptive_controller.h"
 #include "src/prefetch/stride_prefetcher.h"
@@ -84,13 +83,10 @@ class L1Cache
     }
 
     /**
-     * Timed demand access (load, store, or instruction fetch). The
-     * optional @p tag is @p done's serializable description for
-     * checkpointing (empty unless a checkpoint knob armed tagging).
+     * Timed demand access (load, store, or instruction fetch).
      * @pre canAccept(addr).
      */
-    void access(Addr addr, bool is_write, Cycle when, Done done,
-                ckpt::Tag tag = {});
+    void access(Addr addr, bool is_write, Cycle when, Done done);
 
     /** Timed prefetch into this L1 (from its stride prefetcher). */
     void prefetchLine(Addr line, Cycle when);
@@ -136,18 +132,13 @@ class L1Cache
     /** Test hook. */
     const DecoupledSet &setAt(unsigned index) const { return sets_[index]; }
 
-    /** Stable identity used in checkpoint continuation tags
-     *  (2*cpu + data side); assigned by CmpSystem::buildSystem. */
-    void setCkptId(std::uint64_t id) { ckpt_id_ = id; }
-
   private:
-    friend class CheckpointCodec; // serializes sets_/mshrs_/counters
+    friend class CheckpointCodec; // saves sets_, checks mshrs_ empty
 
     struct Waiter
     {
         bool is_write;
         Done done;
-        ckpt::Tag tag; ///< serializable description of done
     };
 
     struct Mshr
@@ -165,10 +156,10 @@ class L1Cache
 
     /** Miss/upgrade path for a demand access. */
     void demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
-                    Done done, ckpt::Tag tag);
+                    Done done);
 
-    /** Schedule @p done at @p at, tagged for checkpointing. */
-    void scheduleDone(Cycle at, Done done, ckpt::Tag tag);
+    /** Schedule @p done at @p at. */
+    void scheduleDone(Cycle at, Done done);
 
     /** Issue the L2 request for @p line; its response fills the
      *  MSHR entry already booked for it. */
@@ -190,7 +181,6 @@ class L1Cache
     L2Cache &l2_;
     unsigned cpu_;
     L1Params params_;
-    std::uint64_t ckpt_id_ = 0; ///< see setCkptId()
     std::vector<DecoupledSet> sets_;
     std::unordered_map<Addr, Mshr> mshrs_;
 

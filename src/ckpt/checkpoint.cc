@@ -1,7 +1,7 @@
 #include "src/ckpt/checkpoint.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -156,201 +156,6 @@ checkpointFingerprint(const SystemConfig &c, const WorkloadParams &w)
     return fnv1a(s);
 }
 
-void
-CheckpointCodec::untagged(const char *what)
-{
-    throw ConfigError("config.ckpt",
-                      std::string("cannot checkpoint: live ") + what +
-                          " closure has no continuation tag (a "
-                          "scheduling site is missing its tag)");
-}
-
-// ---------------------------------------------------------------
-// Continuation factory
-// ---------------------------------------------------------------
-
-std::function<void(Cycle)>
-CheckpointCodec::doneFromTag(const ckpt::Tag &t)
-{
-    if (t == nullptr)
-        return nullptr;
-    switch (t->kind) {
-    case ckpt::kNoop:
-        return [](Cycle) {};
-    case ckpt::kCoreIFetch: {
-        CoreModel *core = sys_.cores_.at(t->a).get();
-        return [core](Cycle c) {
-            core->fetch_stall_until_ = c;
-            core->wake(c);
-        };
-    }
-    case ckpt::kCoreLoad: {
-        CoreModel *core = sys_.cores_.at(t->a).get();
-        const auto slot = static_cast<unsigned>(t->b);
-        const std::uint64_t id = t->c;
-        return [core, slot, id](Cycle c) {
-            core->finishLoad(slot, id, c, false);
-        };
-    }
-    case ckpt::kCoreStoreWake: {
-        CoreModel *core = sys_.cores_.at(t->a).get();
-        return [core](Cycle c) { core->wake(c); };
-    }
-    case ckpt::kCoreChainStore: {
-        CoreModel *core = sys_.cores_.at(t->a).get();
-        return [core](Cycle c) {
-            core->chain_outstanding_ = false;
-            core->wake(c);
-            core->issueChainHead(c);
-        };
-    }
-    case ckpt::kCoreChainLoad: {
-        CoreModel *core = sys_.cores_.at(t->a).get();
-        const auto slot = static_cast<unsigned>(t->b);
-        const std::uint64_t id = t->c;
-        return [core, slot, id](Cycle c) {
-            core->finishLoad(slot, id, c, true);
-        };
-    }
-    case ckpt::kL2Fill: {
-        L2Cache *l2 = sys_.l2_.get();
-        const Addr line = t->a;
-        return [l2, line](Cycle arrival) { l2->fill(line, arrival); };
-    }
-    case ckpt::kMemReqArrived: {
-        MainMemory *mem = sys_.memory_.get();
-        const Addr line = t->a;
-        const Cycle when = t->b;
-        const auto cls = static_cast<LinkClass>(t->c);
-        return [mem, line, when, cls, done = doneFromTag(t->inner),
-                inner = t->inner](Cycle req_arrives) mutable {
-            mem->fetchStage2(line, when, cls, std::move(done),
-                             std::move(inner), req_arrives);
-        };
-    }
-    case ckpt::kMemSendData: {
-        MainMemory *mem = sys_.memory_.get();
-        const Cycle when = t->a;
-        const auto cls = static_cast<LinkClass>(t->b);
-        const auto segments = static_cast<unsigned>(t->c);
-        return [mem, when, cls, segments, done = doneFromTag(t->inner),
-                inner = t->inner](Cycle dram_done) mutable {
-            mem->fetchSendData(when, cls, segments, std::move(done),
-                               std::move(inner), dram_done);
-        };
-    }
-    case ckpt::kMemDataDelivered: {
-        MainMemory *mem = sys_.memory_.get();
-        const Cycle when = t->a;
-        return [mem, when, done = doneFromTag(t->inner)](Cycle at) {
-            mem->fetchDeliver(when, done, at);
-        };
-    }
-    case ckpt::kMemDramWrite: {
-        MainMemory *mem = sys_.memory_.get();
-        const Addr line = t->a;
-        const auto segments = static_cast<unsigned>(t->b);
-        return [mem, line, segments](Cycle at) {
-            mem->dram_->write(line, segments, at);
-        };
-    }
-    default:
-        throw ckpt::CorruptCheckpoint(
-            "unexpected completion frame kind " +
-            std::to_string(t->kind));
-    }
-}
-
-std::function<void(Cycle, bool, bool)>
-CheckpointCodec::l2DoneFromTag(const ckpt::Tag &t)
-{
-    if (t == nullptr)
-        return nullptr;
-    if (t->kind != ckpt::kL1Fill) {
-        throw ckpt::CorruptCheckpoint(
-            "unexpected L2-response frame kind " +
-            std::to_string(t->kind));
-    }
-    const std::uint64_t id = t->a;
-    const Addr line = t->b;
-    const auto cpu = static_cast<unsigned>(id / 2);
-    L1Cache *l1 = (id % 2 == 0 ? sys_.l1i_ : sys_.l1d_).at(cpu).get();
-    return [l1, line](Cycle at, bool exclusive, bool was_compressed) {
-        l1->fill(line, at, exclusive, was_compressed);
-    };
-}
-
-std::function<void()>
-CheckpointCodec::eventFromTag(const ckpt::Tag &t)
-{
-    if (t == nullptr)
-        throw ckpt::CorruptCheckpoint("event with empty tag chain");
-    switch (t->kind) {
-    case ckpt::kDoneAt: {
-        const Cycle at = t->a;
-        return [done = doneFromTag(t->inner), at] {
-            if (done)
-                done(at);
-        };
-    }
-    case ckpt::kL2Lookup: {
-        L2Cache *l2 = sys_.l2_.get();
-        const auto cpu = static_cast<unsigned>(t->a);
-        const Addr line = t->b;
-        const Cycle start = t->c;
-        const bool exclusive = (t->d & 1) != 0;
-        const auto type = static_cast<ReqType>(t->d >> 1);
-        return [l2, cpu, line, exclusive, type, start,
-                done = l2DoneFromTag(t->inner),
-                done_tag = t->inner]() mutable {
-            l2->lookup(cpu, line, exclusive, type, start,
-                       std::move(done), std::move(done_tag));
-        };
-    }
-    case ckpt::kLinkPump: {
-        PriorityLink *link = &sys_.memory_->link();
-        return [link] { link->pump(); };
-    }
-    case ckpt::kLinkInflight: {
-        PriorityLink *link = &sys_.memory_->link();
-        const auto bytes = static_cast<unsigned>(t->a);
-        const Cycle done_at = t->b;
-        return [link, deliver = doneFromTag(t->inner), done_at,
-                bytes]() mutable {
-            link->completeTransfer(std::move(deliver), done_at, bytes);
-        };
-    }
-    case ckpt::kDramPump: {
-        DramBackend *dram = sys_.memory_->dram();
-        const auto ci = static_cast<unsigned>(t->a);
-        return [dram, ci] { dram->pump(ci); };
-    }
-    case ckpt::kDramWriteDone: {
-        DramBackend *dram = sys_.memory_->dram();
-        const auto ci = static_cast<unsigned>(t->a);
-        return [dram, ci] {
-            ++dram->writes_serviced_;
-            ++dram->conserv_writes_out_;
-            --dram->inflight_writes_;
-            dram->pump(ci);
-        };
-    }
-    case ckpt::kDramReadSvc: {
-        DramBackend *dram = sys_.memory_->dram();
-        const auto ci = static_cast<unsigned>(t->a);
-        return [dram, ci] {
-            ++dram->reads_serviced_;
-            ++dram->conserv_reads_out_;
-            --dram->inflight_reads_;
-            dram->pump(ci);
-        };
-    }
-    default:
-        throw ckpt::CorruptCheckpoint("unexpected event frame kind " +
-                                      std::to_string(t->kind));
-    }
-}
-
 // ---------------------------------------------------------------
 // Shared structure helpers
 // ---------------------------------------------------------------
@@ -478,16 +283,6 @@ CheckpointCodec::saveSystem()
     ckpt::Encoder e;
     e.u64(sys_.eq_.now());
     e.u64(sys_.eq_.seq_);
-    const CmpSystem::RunState &rs = sys_.run_state_;
-    e.boolean(rs.active);
-    e.u64(rs.start);
-    e.u64(rs.start_retired);
-    e.u64(rs.target);
-    e.u64(rs.next_sample);
-    e.u64(rs.next_audit);
-    e.u64(rs.next_obs);
-    e.u64(rs.last_progress);
-    e.u64(rs.last_retired);
     e.dbl(sys_.ratio_samples_.sum());
     e.u64(sys_.ratio_samples_.count());
     e.u64(sys_.audits_.passes_);
@@ -501,74 +296,12 @@ CheckpointCodec::loadSystem(ckpt::Decoder &d)
 {
     sys_.eq_.now_ = d.u64();
     sys_.eq_.seq_ = d.u64();
-    CmpSystem::RunState &rs = sys_.run_state_;
-    rs.active = d.boolean();
-    rs.start = d.u64();
-    rs.start_retired = d.u64();
-    rs.target = d.u64();
-    rs.next_sample = d.u64();
-    rs.next_audit = d.u64();
-    rs.next_obs = d.u64();
-    rs.last_progress = d.u64();
-    rs.last_retired = d.u64();
     const double ratio_sum = d.dbl();
     const std::uint64_t ratio_count = d.u64();
     sys_.ratio_samples_.restore(ratio_sum, ratio_count);
     sys_.audits_.passes_ = d.u64();
     sys_.measured_cycles_ = d.u64();
     sys_.measured_instructions_ = d.u64();
-}
-
-std::string
-CheckpointCodec::saveEvents()
-{
-    // Emit every pending event (heap and same-cycle FIFO both) in
-    // (when, seq) order, so the bytes do not depend on heap layout.
-    const EventQueue &q = sys_.eq_;
-    std::vector<const EventQueue::Event *> events;
-    for (const auto &ev : q.heap_)
-        events.push_back(&ev);
-    for (std::size_t i = q.same_head_; i < q.same_cycle_.size(); ++i)
-        events.push_back(&q.same_cycle_[i]);
-    std::sort(events.begin(), events.end(),
-              [](const EventQueue::Event *a, const EventQueue::Event *b) {
-                  return a->before(*b);
-              });
-    ckpt::Encoder e;
-    e.u64(events.size());
-    for (const EventQueue::Event *ev : events) {
-        if (ev->tag == nullptr)
-            untagged("event");
-        e.u64(ev->when);
-        e.u64(ev->seq);
-        e.tagChain(ev->tag);
-    }
-    return e.take();
-}
-
-void
-CheckpointCodec::loadEvents(ckpt::Decoder &d)
-{
-    // Every event restores into the heap: it runs in (when, seq)
-    // order wherever it sat at save time, and a (when, seq)-sorted
-    // array is already a valid binary min-heap.
-    EventQueue &eq = sys_.eq_;
-    eq.heap_.clear();
-    eq.same_cycle_.clear();
-    eq.same_head_ = 0;
-    const std::uint64_t n = d.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        EventQueue::Event ev;
-        ev.when = d.u64();
-        ev.seq = d.u64();
-        ev.tag = d.tagChain();
-        ev.cb = eventFromTag(ev.tag);
-        eq.heap_.push_back(std::move(ev));
-    }
-    std::sort(eq.heap_.begin(), eq.heap_.end(),
-              [](const EventQueue::Event &a, const EventQueue::Event &b) {
-                  return a.before(b);
-              });
 }
 
 std::string
@@ -726,34 +459,10 @@ std::string
 CheckpointCodec::saveL1s()
 {
     ckpt::Encoder e;
-    auto one = [this, &e](const L1Cache &l1) {
-        if (l1.functional_mode_) {
-            throw ConfigError("config.ckpt",
-                              "cannot checkpoint in functional mode");
-        }
+    auto one = [&e](const L1Cache &l1) {
         e.u32(static_cast<std::uint32_t>(l1.sets_.size()));
         for (const auto &set : l1.sets_)
             encodeSet(e, set);
-        std::vector<Addr> keys;
-        keys.reserve(l1.mshrs_.size());
-        // analyze-ok: unordered-iter keys are sorted before encoding
-        for (const auto &[addr, mshr] : l1.mshrs_)
-            keys.push_back(addr);
-        std::sort(keys.begin(), keys.end());
-        e.u32(static_cast<std::uint32_t>(keys.size()));
-        for (Addr addr : keys) {
-            const auto &mshr = l1.mshrs_.at(addr);
-            e.u64(addr);
-            e.boolean(mshr.prefetch_only);
-            e.boolean(mshr.requested_exclusive);
-            e.u32(static_cast<std::uint32_t>(mshr.waiters.size()));
-            for (const auto &w : mshr.waiters) {
-                if (w.done != nullptr && w.tag == nullptr)
-                    untagged("L1 MSHR waiter");
-                e.boolean(w.is_write);
-                e.tagChain(w.tag);
-            }
-        }
     };
     for (unsigned c = 0; c < sys_.config_.cores; ++c) {
         one(*sys_.l1i_[c]);
@@ -765,28 +474,12 @@ CheckpointCodec::saveL1s()
 void
 CheckpointCodec::loadL1s(ckpt::Decoder &d)
 {
-    auto one = [this, &d](L1Cache &l1) {
+    auto one = [&d](L1Cache &l1) {
         const std::uint32_t nsets = d.u32();
         if (nsets != l1.sets_.size())
             throw ckpt::CorruptCheckpoint("L1 set count mismatch");
         for (auto &set : l1.sets_)
             decodeSet(d, set);
-        l1.mshrs_.clear();
-        const std::uint32_t nmshr = d.u32();
-        for (std::uint32_t i = 0; i < nmshr; ++i) {
-            const Addr addr = d.u64();
-            L1Cache::Mshr &mshr = l1.mshrs_[addr];
-            mshr.prefetch_only = d.boolean();
-            mshr.requested_exclusive = d.boolean();
-            const std::uint32_t nwait = d.u32();
-            for (std::uint32_t w = 0; w < nwait; ++w) {
-                L1Cache::Waiter waiter;
-                waiter.is_write = d.boolean();
-                waiter.tag = d.tagChain();
-                waiter.done = doneFromTag(waiter.tag);
-                mshr.waiters.push_back(std::move(waiter));
-            }
-        }
     };
     for (unsigned c = 0; c < sys_.config_.cores; ++c) {
         one(*sys_.l1i_[c]);
@@ -798,10 +491,6 @@ std::string
 CheckpointCodec::saveL2()
 {
     const L2Cache &l2 = *sys_.l2_;
-    if (l2.functional_mode_) {
-        throw ConfigError("config.ckpt",
-                          "cannot checkpoint in functional mode");
-    }
     ckpt::Encoder e;
     e.u32(static_cast<std::uint32_t>(l2.sets_.size()));
     for (const auto &set : l2.sets_)
@@ -814,29 +503,6 @@ CheckpointCodec::saveL2()
     e.u64(bw.total_bytes_);
     e.u64(bw.transfers_);
     e.dbl(bw.busy_);
-    std::vector<Addr> keys;
-    keys.reserve(l2.mshrs_.size());
-    // analyze-ok: unordered-iter keys are sorted before encoding
-    for (const auto &[addr, mshr] : l2.mshrs_)
-        keys.push_back(addr);
-    std::sort(keys.begin(), keys.end());
-    e.u32(static_cast<std::uint32_t>(keys.size()));
-    for (Addr addr : keys) {
-        const auto &mshr = l2.mshrs_.at(addr);
-        e.u64(addr);
-        e.boolean(mshr.prefetch_only);
-        e.u8(static_cast<std::uint8_t>(mshr.pf_source));
-        e.u32(mshr.pf_cpu);
-        e.u32(static_cast<std::uint32_t>(mshr.waiters.size()));
-        for (const auto &w : mshr.waiters) {
-            if (w.done != nullptr && w.tag == nullptr)
-                untagged("L2 MSHR waiter");
-            e.u32(w.cpu);
-            e.boolean(w.exclusive);
-            e.u8(static_cast<std::uint8_t>(w.type));
-            e.tagChain(w.tag);
-        }
-    }
     e.u32(static_cast<std::uint32_t>(l2.pf_outstanding_.size()));
     for (unsigned v : l2.pf_outstanding_)
         e.u32(v);
@@ -865,25 +531,6 @@ CheckpointCodec::loadL2(ckpt::Decoder &d)
     bw.total_bytes_ = d.u64();
     bw.transfers_ = d.u64();
     bw.busy_ = d.dbl();
-    l2.mshrs_.clear();
-    const std::uint32_t nmshr = d.u32();
-    for (std::uint32_t i = 0; i < nmshr; ++i) {
-        const Addr addr = d.u64();
-        L2Cache::Mshr &mshr = l2.mshrs_[addr];
-        mshr.prefetch_only = d.boolean();
-        mshr.pf_source = static_cast<PfSource>(d.u8());
-        mshr.pf_cpu = d.u32();
-        const std::uint32_t nwait = d.u32();
-        for (std::uint32_t w = 0; w < nwait; ++w) {
-            L2Cache::Waiter waiter;
-            waiter.cpu = d.u32();
-            waiter.exclusive = d.boolean();
-            waiter.type = static_cast<ReqType>(d.u8());
-            waiter.tag = d.tagChain();
-            waiter.done = l2DoneFromTag(waiter.tag);
-            mshr.waiters.push_back(std::move(waiter));
-        }
-    }
     const std::uint32_t npf = d.u32();
     if (npf != l2.pf_outstanding_.size())
         throw ckpt::CorruptCheckpoint("pf_outstanding size mismatch");
@@ -899,19 +546,7 @@ CheckpointCodec::saveLink()
 {
     const PriorityLink &link = sys_.memory_->link();
     ckpt::Encoder e;
-    for (const auto &q : link.queues_) {
-        e.u32(static_cast<std::uint32_t>(q.size()));
-        for (const auto &m : q) {
-            if (m.deliver != nullptr && m.tag == nullptr)
-                untagged("link message");
-            e.u32(m.bytes);
-            e.u64(m.ready);
-            e.tagChain(m.tag);
-        }
-    }
-    e.boolean(link.busy_);
     e.dbl(link.cursor_);
-    e.u64(link.inflight_bytes_);
     e.u64(link.pending_at_reset_);
     // delivered_bytes_ backs the byte-conservation audit but is not a
     // registered stat, so the stats section does not carry it.
@@ -923,21 +558,7 @@ void
 CheckpointCodec::loadLink(ckpt::Decoder &d)
 {
     PriorityLink &link = sys_.memory_->link();
-    for (auto &q : link.queues_) {
-        q.clear();
-        const std::uint32_t n = d.u32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            PriorityLink::Message m;
-            m.bytes = d.u32();
-            m.ready = d.u64();
-            m.tag = d.tagChain();
-            m.deliver = doneFromTag(m.tag);
-            q.push_back(std::move(m));
-        }
-    }
-    link.busy_ = d.boolean();
     link.cursor_ = d.dbl();
-    link.inflight_bytes_ = d.u64();
     link.pending_at_reset_ = d.u64();
     link.delivered_bytes_.reset();
     link.delivered_bytes_ += d.u64();
@@ -951,18 +572,6 @@ CheckpointCodec::saveDram()
     e.boolean(dram != nullptr);
     if (dram == nullptr)
         return e.take();
-    auto request = [&e](const DramBackend::Request &r) {
-        if (r.done != nullptr && r.tag == nullptr)
-            untagged("DRAM request");
-        e.u64(r.line);
-        e.u64(r.row);
-        e.u32(r.bank);
-        e.u32(r.beats);
-        e.boolean(r.prefetch);
-        e.u64(r.ready);
-        e.u64(r.seq);
-        e.tagChain(r.tag);
-    };
     e.u32(static_cast<std::uint32_t>(dram->channels_.size()));
     for (const auto &ch : dram->channels_) {
         e.u32(static_cast<std::uint32_t>(ch.banks.size()));
@@ -973,19 +582,10 @@ CheckpointCodec::saveDram()
             e.u64(b.activated);
             e.u64(b.pending);
         }
-        e.u32(static_cast<std::uint32_t>(ch.reads.size()));
-        for (const auto &r : ch.reads)
-            request(r);
-        e.u32(static_cast<std::uint32_t>(ch.writes.size()));
-        for (const auto &r : ch.writes)
-            request(r);
-        e.boolean(ch.busy);
         e.boolean(ch.draining);
         e.u64(ch.next_refresh);
     }
     e.u64(dram->next_seq_);
-    e.u64(dram->inflight_reads_);
-    e.u64(dram->inflight_writes_);
     e.u64(dram->conserv_reads_in_);
     e.u64(dram->conserv_reads_out_);
     e.u64(dram->conserv_writes_in_);
@@ -1004,19 +604,6 @@ CheckpointCodec::loadDram(ckpt::Decoder &d)
     }
     if (dram == nullptr)
         return;
-    auto request = [this, &d]() {
-        DramBackend::Request r;
-        r.line = d.u64();
-        r.row = d.u64();
-        r.bank = d.u32();
-        r.beats = d.u32();
-        r.prefetch = d.boolean();
-        r.ready = d.u64();
-        r.seq = d.u64();
-        r.tag = d.tagChain();
-        r.done = doneFromTag(r.tag);
-        return r;
-    };
     const std::uint32_t nch = d.u32();
     if (nch != dram->channels_.size())
         throw ckpt::CorruptCheckpoint("DRAM channel count mismatch");
@@ -1031,21 +618,10 @@ CheckpointCodec::loadDram(ckpt::Decoder &d)
             b.activated = d.u64();
             b.pending = d.u64();
         }
-        ch.reads.clear();
-        const std::uint32_t nreads = d.u32();
-        for (std::uint32_t i = 0; i < nreads; ++i)
-            ch.reads.push_back(request());
-        ch.writes.clear();
-        const std::uint32_t nwrites = d.u32();
-        for (std::uint32_t i = 0; i < nwrites; ++i)
-            ch.writes.push_back(request());
-        ch.busy = d.boolean();
         ch.draining = d.boolean();
         ch.next_refresh = d.u64();
     }
     dram->next_seq_ = d.u64();
-    dram->inflight_reads_ = d.u64();
-    dram->inflight_writes_ = d.u64();
     dram->conserv_reads_in_ = d.u64();
     dram->conserv_reads_out_ = d.u64();
     dram->conserv_writes_in_ = d.u64();
@@ -1252,9 +828,10 @@ CheckpointCodec::saveSample()
     // Sampling-plan progress (DESIGN.md §14): the interval cursor,
     // the open interval's baseline snapshot, accumulated detail
     // deltas and per-interval metric samples. The FastForwardEngine's
-    // own counters ride in the stats section; its conservation
-    // accumulators deliberately restart at zero after restore (both
-    // sides restart together, so the audit stays exact).
+    // own counters ride in the quiesced stats section and advance
+    // with the replay; its conservation accumulators restart at zero
+    // after restore (both sides restart together, so the audit stays
+    // exact).
     ckpt::Encoder e;
     const SampleState &ss = sys_.sample_state_;
     e.u32(ss.intervals_done);
@@ -1302,12 +879,94 @@ CheckpointCodec::loadSample(ckpt::Decoder &d)
 }
 
 // ---------------------------------------------------------------
-// Container
+// Call log
 // ---------------------------------------------------------------
 
 std::string
-CheckpointCodec::save()
+CheckpointCodec::saveLog()
 {
+    ckpt::Encoder e;
+    const std::vector<LoggedCall> &calls = sys_.calls_;
+    e.u32(static_cast<std::uint32_t>(calls.size()));
+    for (const LoggedCall &c : calls) {
+        e.u8(c.kind);
+        e.u64(c.instr);
+        e.u64(c.warm);
+    }
+    // An unfinished run() is always the last call: the autosave inside
+    // its loop (or a failure that unwound it) is the only way to save
+    // while one is open.
+    e.u64(sys_.run_state_.active ? sys_.eq_.now() : kCycleNever);
+    return e.take();
+}
+
+CallLog
+CheckpointCodec::decodeLog(std::string_view payload)
+{
+    ckpt::Decoder d(payload);
+    CallLog log;
+    const std::uint32_t n = d.u32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+        LoggedCall c;
+        const std::uint8_t kind = d.u8();
+        if (kind < LoggedCall::kWarmup || kind > LoggedCall::kFastForward)
+            throw ckpt::CorruptCheckpoint("unknown logged call kind");
+        c.kind = static_cast<LoggedCall::Kind>(kind);
+        c.instr = d.u64();
+        c.warm = d.u64();
+        log.calls.push_back(c);
+    }
+    log.interrupted_at = d.u64();
+    if (log.interrupted_at != kCycleNever &&
+        (log.calls.empty() || log.calls.back().kind != LoggedCall::kRun))
+        throw ckpt::CorruptCheckpoint("interrupted call is not a run");
+    d.expectEnd("log");
+    return log;
+}
+
+// ---------------------------------------------------------------
+// Quiesced capture and container
+// ---------------------------------------------------------------
+
+std::string
+CheckpointCodec::pendingWork() const
+{
+    std::uint64_t mshrs = sys_.l2_->mshrs_.size();
+    for (unsigned c = 0; c < sys_.config_.cores; ++c)
+        mshrs += sys_.l1i_[c]->mshrs_.size() + sys_.l1d_[c]->mshrs_.size();
+    const PriorityLink &link = sys_.memory_->link();
+    std::uint64_t messages = link.busy_ ? 1 : 0;
+    for (const auto &q : link.queues_)
+        messages += q.size();
+    std::uint64_t requests = 0;
+    if (const DramBackend *dram = sys_.memory_->dram()) {
+        requests = dram->inflight_reads_ + dram->inflight_writes_;
+        for (const auto &ch : dram->channels_)
+            requests += ch.reads.size() + ch.writes.size() + ch.busy;
+    }
+    std::string out;
+    auto note = [&out](const char *what, std::uint64_t n) {
+        if (n != 0)
+            out += std::string(what) + ": " + std::to_string(n) + "\n";
+    };
+    note("events", sys_.eq_.size());
+    note("unfinished run()", sys_.run_state_.active);
+    note("cache MSHRs", mshrs);
+    note("link messages", messages);
+    note("DRAM requests", requests);
+    return out;
+}
+
+std::vector<ckpt::Section>
+CheckpointCodec::captureQuiesced()
+{
+    const std::string pending = pendingWork();
+    if (!pending.empty()) {
+        throw ConfigError("config.ckpt",
+                          "cannot capture a quiesced snapshot with work "
+                          "pending:\n" +
+                              pending);
+    }
     std::vector<ckpt::Section> sections;
     sections.push_back({"system", saveSystem()});
     sections.push_back({"stats", saveStats()});
@@ -1319,10 +978,23 @@ CheckpointCodec::save()
     sections.push_back({"link", saveLink()});
     sections.push_back({"dram", saveDram()});
     sections.push_back({"prefetch", savePrefetch()});
-    sections.push_back({"events", saveEvents()});
-    // Conditional 12th section: present only when a sampling plan is
-    // armed, so unsampled checkpoints stay byte-identical to the
-    // pre-sampling format.
+    return sections;
+}
+
+std::string
+CheckpointCodec::save()
+{
+    if (sys_.quiesced_.empty()) {
+        throw ConfigError("config.ckpt",
+                          "checkpointing is not armed for this system "
+                          "(CMPSIM_CKPT, CMPSIM_RESTORE or "
+                          "ckpt::setArmed before construction)");
+    }
+    std::vector<ckpt::Section> sections = sys_.quiesced_;
+    sections.push_back({"log", saveLog()});
+    // Present only when a sampling plan is armed: the SampleState at
+    // save time, which the replayed calls alone cannot rebuild (the
+    // SamplingController, not CmpSystem, advances it).
     if (sys_.config_.sampling.armed())
         sections.push_back({"sample", saveSample()});
     return ckpt::packFile(
@@ -1332,7 +1004,7 @@ CheckpointCodec::save()
 void
 CheckpointCodec::restore(std::string_view bytes)
 {
-    const ckpt::ParsedFile file = ckpt::parseFile(bytes);
+    ckpt::ParsedFile file = ckpt::parseFile(bytes);
     const std::uint64_t want =
         checkpointFingerprint(sys_.config_, sys_.workload_);
     if (file.fingerprint != want) {
@@ -1342,56 +1014,60 @@ CheckpointCodec::restore(std::string_view bytes)
                 " does not match this run's " + hex16(want) +
                 " (different config, seed or workload)");
     }
+    using Loader = void (CheckpointCodec::*)(ckpt::Decoder &);
+    static const std::map<std::string, Loader> quiesced = {
+        {"system", &CheckpointCodec::loadSystem},
+        {"stats", &CheckpointCodec::loadStats},
+        {"values", &CheckpointCodec::loadValues},
+        {"workload", &CheckpointCodec::loadWorkload},
+        {"cores", &CheckpointCodec::loadCores},
+        {"l1", &CheckpointCodec::loadL1s},
+        {"l2", &CheckpointCodec::loadL2},
+        {"link", &CheckpointCodec::loadLink},
+        {"dram", &CheckpointCodec::loadDram},
+        {"prefetch", &CheckpointCodec::loadPrefetch},
+    };
+    // The sample section is present exactly when the config has an
+    // armed plan (the fingerprint already guarantees the saving config
+    // agreed).
+    const bool sampled = sys_.config_.sampling.armed();
     std::set<std::string> seen;
-    for (const ckpt::Section &s : file.sections) {
+    std::vector<ckpt::Section> q;
+    const ckpt::Section *log = nullptr;
+    const ckpt::Section *sample = nullptr;
+    for (ckpt::Section &s : file.sections) {
         if (!seen.insert(s.name).second) {
             throw ckpt::CorruptCheckpoint("duplicate section " +
                                           s.name);
         }
-        ckpt::Decoder d(s.payload);
-        if (s.name == "system")
-            loadSystem(d);
-        else if (s.name == "stats")
-            loadStats(d);
-        else if (s.name == "values")
-            loadValues(d);
-        else if (s.name == "workload")
-            loadWorkload(d);
-        else if (s.name == "cores")
-            loadCores(d);
-        else if (s.name == "l1")
-            loadL1s(d);
-        else if (s.name == "l2")
-            loadL2(d);
-        else if (s.name == "link")
-            loadLink(d);
-        else if (s.name == "dram")
-            loadDram(d);
-        else if (s.name == "prefetch")
-            loadPrefetch(d);
-        else if (s.name == "events")
-            loadEvents(d);
-        else if (s.name == "sample" && sys_.config_.sampling.armed())
-            loadSample(d);
-        else
+        if (s.name == "log") {
+            log = &s;
+        } else if (s.name == "sample" && sampled) {
+            sample = &s;
+        } else if (const auto it = quiesced.find(s.name);
+                   it != quiesced.end()) {
+            ckpt::Decoder d(s.payload);
+            (this->*(it->second))(d);
+            d.expectEnd(s.name.c_str());
+            q.push_back(std::move(s));
+        } else {
             throw ckpt::CorruptCheckpoint("unknown section " + s.name);
-        d.expectEnd(s.name.c_str());
-    }
-    static const char *const required[] = {
-        "system", "stats", "values", "workload", "cores", "l1",
-        "l2",     "link",  "dram",   "prefetch", "events"};
-    for (const char *name : required) {
-        if (seen.count(name) == 0) {
-            throw ckpt::CorruptCheckpoint(
-                std::string("missing section ") + name);
         }
     }
-    // The sample section is required exactly when the restoring
-    // config has an armed plan (the fingerprint already guarantees
-    // the saving config agreed).
-    if (sys_.config_.sampling.armed() && seen.count("sample") == 0) {
-        throw ckpt::CorruptCheckpoint(
-            "missing section sample (sampling plan is armed)");
+    if (q.size() != quiesced.size() || log == nullptr ||
+        (sampled && sample == nullptr)) {
+        throw ckpt::CorruptCheckpoint("checkpoint is missing a section");
+    }
+
+    // The restored system keeps the file's quiesced sections verbatim
+    // and the replay rebuilds the same log, so saving it again
+    // reproduces these bytes.
+    sys_.quiesced_ = std::move(q);
+    sys_.replay(decodeLog(log->payload));
+    if (sample != nullptr) {
+        ckpt::Decoder d(sample->payload);
+        loadSample(d);
+        d.expectEnd("sample");
     }
 }
 

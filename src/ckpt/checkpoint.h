@@ -1,23 +1,30 @@
 /**
  * @file
  * The checkpoint codec (DESIGN.md §13): bit-exact serialization and
- * restoration of a complete CmpSystem.
+ * restoration of a CmpSystem by quiesced snapshot plus replay.
  *
- * save() walks every component the simulation mutates — the event
- * queue (heap + same-cycle FIFO, written as one (when, seq)-sorted
- * list so the bytes do not depend on heap layout),
- * L1/L2 tag arrays and MSHRs, the priority link's class queues and
- * in-flight transfer, the banked-DRAM channels when armed, prefetcher
- * filter/stream tables, adaptive counters, workload RNG and cursor
- * state, the value store, and the full stat registry — into named,
- * individually CRC'd sections (src/ckpt/ckpt_io.h).
+ * A checkpoint has three parts:
  *
- * Pending closures are serialized through their continuation tags
- * (src/ckpt/cont_tag.h); restore() rebuilds each closure against the
- * restored component graph from its tag chain. A save that encounters
- * a live closure with no tag throws ConfigError("config.ckpt") — that
- * means a scheduling site was added without a tag, and a silent save
- * would drop work.
+ *  - The quiesced sections, captured at the system's last quiesced
+ *    instant Q: construction, the drain at the start of
+ *    fastForward(), or the end of adoptSkip(). At Q no work is in
+ *    flight — no event, MSHR, link message or DRAM request — so the
+ *    sections hold only plain data: L1/L2 tag arrays, bank and link
+ *    occupancy, DRAM bank state, prefetcher tables, adaptive
+ *    counters, workload RNG and cursors, the value store, and the
+ *    full stat registry. captureQuiesced() refuses pending work with
+ *    ConfigError("config.ckpt").
+ *  - The "log" section: the warmup() / run() / fastForward() calls
+ *    made since Q, plus the cycle an interrupted run() stopped at.
+ *  - The "sample" section (sampled runs only): the SampleState at
+ *    save time.
+ *
+ * restore() decodes Q into a freshly built system and replays the log
+ * with autosave, tracing and fault sites muted; the run loop and the
+ * sampling controller then resume from the in-memory state the replay
+ * left behind. Replay is exact because a run is a pure function of
+ * (config, seed) and the calls it was given — the property the
+ * determinism gate checks.
  *
  * The container's fingerprint field binds a checkpoint to the
  * behavioural (config, workload) pair that produced it; restore()
@@ -30,9 +37,9 @@
 #define CMPSIM_CKPT_CHECKPOINT_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/ckpt/ckpt_io.h"
 #include "src/common/types.h"
@@ -41,7 +48,6 @@ namespace cmpsim {
 
 class CmpSystem;
 class DecoupledSet;
-class L2Cache;
 class StridePrefetcher;
 class ValueStore;
 struct SystemConfig;
@@ -58,17 +64,59 @@ struct WorkloadParams;
 std::uint64_t checkpointFingerprint(const SystemConfig &config,
                                     const WorkloadParams &workload);
 
+/** One CmpSystem call recorded in a checkpoint's log section. */
+struct LoggedCall
+{
+    enum Kind : std::uint8_t
+    {
+        kWarmup = 1,      ///< warmup(instr)
+        kRun = 2,         ///< run(instr)
+        kFastForward = 3, ///< fastForward(instr, warm)
+    };
+    Kind kind = kRun;
+    std::uint64_t instr = 0;
+    std::uint64_t warm = 0; ///< kFastForward only
+};
+
+/** A decoded log section. */
+struct CallLog
+{
+    std::vector<LoggedCall> calls;
+    /** The cycle the last call, an unfinished run(), stopped at;
+     *  kCycleNever when every call finished. */
+    Cycle interrupted_at = kCycleNever;
+};
+
 /** Serializes/restores a CmpSystem; friend of every stateful class. */
 class CheckpointCodec
 {
   public:
     explicit CheckpointCodec(CmpSystem &sys) : sys_(sys) {}
 
-    /** Full checkpoint container (header + sections + CRCs). */
+    /**
+     * Encode the quiesced sections of the system as it stands now.
+     * Throws ConfigError("config.ckpt") naming the pending work when
+     * the system is not quiesced.
+     */
+    std::vector<ckpt::Section> captureQuiesced();
+
+    /** Pending work that rules out a quiesced capture, one item per
+     *  line ("" when quiesced): events, MSHRs, link messages, DRAM
+     *  requests, an unfinished run(). */
+    std::string pendingWork() const;
+
+    /** Full checkpoint container: the quiesced sections, the call
+     *  log, and the sample state. Throws ConfigError("config.ckpt")
+     *  when checkpointing is not armed for this system. */
     std::string save();
 
-    /** Restore @p bytes into the freshly built system. */
+    /** Restore @p bytes into the freshly built system: decode the
+     *  quiesced sections, replay the log, then load the sample
+     *  state. */
     void restore(std::string_view bytes);
+
+    /** Decode a "log" section payload. */
+    static CallLog decodeLog(std::string_view payload);
 
     /** The "values" section body: line count, then (address, 64 data
      *  bytes) per line in ascending address order, so the bytes do not
@@ -85,7 +133,6 @@ class CheckpointCodec
   private:
     // ---- section writers ----
     std::string saveSystem();
-    std::string saveEvents();
     std::string saveStats();
     std::string saveCores();
     std::string saveL1s();
@@ -95,11 +142,11 @@ class CheckpointCodec
     std::string saveValues();
     std::string savePrefetch();
     std::string saveWorkload();
+    std::string saveLog();
     std::string saveSample();
 
     // ---- section readers ----
     void loadSystem(ckpt::Decoder &d);
-    void loadEvents(ckpt::Decoder &d);
     void loadStats(ckpt::Decoder &d);
     void loadCores(ckpt::Decoder &d);
     void loadL1s(ckpt::Decoder &d);
@@ -110,23 +157,6 @@ class CheckpointCodec
     void loadPrefetch(ckpt::Decoder &d);
     void loadWorkload(ckpt::Decoder &d);
     void loadSample(ckpt::Decoder &d);
-
-    // ---- continuation factory: rebuild closures from tag chains ----
-
-    /** Event-queue callback for an event-kind frame. */
-    std::function<void()> eventFromTag(const ckpt::Tag &t);
-
-    /** void(Cycle) completion (core / memory-pipeline / link-deliver
-     *  kinds); null tag -> null function. */
-    std::function<void(Cycle)> doneFromTag(const ckpt::Tag &t);
-
-    /** L2 response callback (kL1Fill); null tag -> null function. */
-    std::function<void(Cycle, bool, bool)> l2DoneFromTag(
-        const ckpt::Tag &t);
-
-    /** Throw ConfigError("config.ckpt") for an untagged live closure
-     *  found during save (@p what names the site). */
-    [[noreturn]] static void untagged(const char *what);
 
     // ---- shared structure helpers ----
     static void encodeSet(ckpt::Encoder &e, const DecoupledSet &set);

@@ -53,22 +53,6 @@ Encoder::raw(const void *data, std::size_t len)
     bytes_.append(static_cast<const char *>(data), len);
 }
 
-void
-Encoder::tagChain(const Tag &t)
-{
-    std::uint16_t count = 0;
-    for (const Frame *f = t.get(); f != nullptr; f = f->inner.get())
-        ++count;
-    u16(count);
-    for (const Frame *f = t.get(); f != nullptr; f = f->inner.get()) {
-        u16(f->kind);
-        u64(f->a);
-        u64(f->b);
-        u64(f->c);
-        u64(f->d);
-    }
-}
-
 // ---------------------------------------------------------------- Decoder
 
 void
@@ -136,27 +120,6 @@ Decoder::raw(void *out, std::size_t len)
     need(len);
     std::memcpy(out, bytes_.data() + pos_, len);
     pos_ += len;
-}
-
-Tag
-Decoder::tagChain()
-{
-    const std::uint16_t count = u16();
-    std::vector<Frame> frames(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-        frames[i].kind = u16();
-        frames[i].a = u64();
-        frames[i].b = u64();
-        frames[i].c = u64();
-        frames[i].d = u64();
-    }
-    Tag chain;
-    for (std::uint16_t i = count; i-- > 0;) {
-        auto f = std::make_shared<Frame>(frames[i]);
-        f->inner = std::move(chain);
-        chain = std::move(f);
-    }
-    return chain;
 }
 
 void

@@ -36,13 +36,12 @@
 #include <string_view>
 #include <vector>
 
-#include "src/ckpt/cont_tag.h"
 
 namespace cmpsim::ckpt {
 
 inline constexpr char kMagic[8] = {'C', 'M', 'P', 'S',
                                    'I', 'M', 'C', 'K'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /**
  * Structural damage in a checkpoint file: bad magic, truncation, or a
@@ -72,8 +71,6 @@ class Encoder
     void str(std::string_view s);
     /** Raw bytes, caller-framed. */
     void raw(const void *data, std::size_t len);
-    /** Continuation-tag chain: u16 frame count, frames outer-first. */
-    void tagChain(const Tag &t);
 
     const std::string &bytes() const { return bytes_; }
     std::string take() { return std::move(bytes_); }
@@ -102,9 +99,7 @@ class Decoder
     double dbl();
     std::string str();
     void raw(void *out, std::size_t len);
-    Tag tagChain();
 
-    bool atEnd() const { return pos_ == bytes_.size(); }
     /** Throw unless the payload was consumed exactly. */
     void expectEnd(const char *what) const;
 

@@ -1,17 +1,25 @@
 #include "src/ckpt/controller.h"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "src/ckpt/ckpt_io.h"
+#include "src/ckpt/cont_tag.h"
 #include "src/common/sim_error.h"
 #include "src/sim/fault_injection.h"
 
 namespace cmpsim::ckpt {
 
 namespace {
+
+// Process-wide arming flag, written only by setArmed(). A CmpSystem
+// reads it once, at construction, and keeps its own decision.
+std::atomic<bool> g_armed{false};
+
+thread_local bool t_restored = false;
 
 /** Whole-file read; empty optional-style: throws CorruptCheckpoint
  *  when the file cannot be opened (missing counts as damage so the
@@ -32,6 +40,32 @@ readFile(const std::string &path)
 
 } // namespace
 
+bool
+armed()
+{
+    return g_armed.load(std::memory_order_relaxed);
+}
+
+void
+setArmed(bool on)
+{
+    g_armed.store(on, std::memory_order_relaxed);
+}
+
+void
+noteRestored()
+{
+    t_restored = true;
+}
+
+bool
+consumeRestoredFlag()
+{
+    const bool was = t_restored;
+    t_restored = false;
+    return was;
+}
+
 Settings
 Settings::parseCkptSpec(const std::string &spec)
 {
@@ -44,15 +78,9 @@ Settings::parseCkptSpec(const std::string &spec)
                               spec + "\"");
     }
     s.save_path = spec.substr(0, pos);
-    const std::string count = spec.substr(pos + marker.size());
-    if (count.empty() ||
-        count.find_first_not_of("0123456789") != std::string::npos) {
-        throw ConfigError("config.ckpt",
-                          "CMPSIM_CKPT interval must be a positive "
-                          "integer, got \"" +
-                              count + "\"");
-    }
-    s.every = std::strtoull(count.c_str(), nullptr, 10);
+    s.every = parseKnobUint("CMPSIM_CKPT",
+                            spec.substr(pos + marker.size()),
+                            "config.ckpt");
     if (s.every == 0) {
         throw ConfigError("config.ckpt",
                           "CMPSIM_CKPT interval must be non-zero");

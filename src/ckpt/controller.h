@@ -49,7 +49,8 @@ struct Settings
         return !save_path.empty() && every > 0;
     }
 
-    /** True when any checkpoint machinery (tagging) must be live. */
+    /** True when the system must capture quiesced points and log
+     *  its calls (either knob set). */
     bool
     armed() const
     {

@@ -1,5 +1,9 @@
 #include "src/common/sim_error.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+
 namespace cmpsim {
 
 const char *
@@ -56,6 +60,22 @@ errorKindTransient(ErrorKind kind)
 ConfigError::ConfigError(std::string context, const std::string &message)
     : SimError(ErrorKind::Config, std::move(context), message)
 {
+}
+
+std::uint64_t
+parseKnobUint(const std::string &knob, const std::string &text,
+              const std::string &context)
+{
+    errno = 0;
+    char *end = nullptr;
+    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE) {
+        throw ConfigError(context.empty() ? "env." + knob : context,
+                          knob + " must be an unsigned 64-bit decimal "
+                                 "integer, got \"" + text + "\"");
+    }
+    return v;
 }
 
 WorkloadError::WorkloadError(std::string context,

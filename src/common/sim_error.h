@@ -73,6 +73,17 @@ class ConfigError : public SimError
     ConfigError(std::string context, const std::string &message);
 };
 
+/**
+ * Parse @p text, the value of integer knob @p knob, strictly: decimal
+ * digits only, within 64 bits. A bare std::strtoull would accept a
+ * sign ("-1" wraps to 2^64-1), stop at trailing junk and saturate on
+ * ERANGE; each of those throws ConfigError naming the knob instead
+ * (context @p context, default "env.<knob>").
+ */
+std::uint64_t parseKnobUint(const std::string &knob,
+                            const std::string &text,
+                            const std::string &context = "");
+
 /** A workload input (benchmark name) is unusable. */
 class WorkloadError : public SimError
 {

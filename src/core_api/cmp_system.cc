@@ -7,6 +7,7 @@
 
 #include "src/audit/audits.h"
 #include "src/ckpt/checkpoint.h"
+#include "src/ckpt/cont_tag.h"
 #include "src/common/sim_error.h"
 #include "src/dram/dram_backend.h"
 #include "src/obs/cpi_stack.h"
@@ -32,22 +33,24 @@ CmpSystem::CmpSystem(const SystemConfig &config,
     // CI's audit leg turns audits on for unmodified binaries:
     // CMPSIM_AUDIT=<cycles> sets the periodic-audit interval (and the
     // per-fill round-trip check); CMPSIM_AUDIT=0 forces audits off.
-    if (const char *env = std::getenv("CMPSIM_AUDIT")) {
-        config_.audit_interval =
-            static_cast<Cycle>(std::strtoull(env, nullptr, 10));
+    // Empty counts as unset; anything else must parse strictly.
+    if (const char *env = std::getenv("CMPSIM_AUDIT");
+        env != nullptr && *env != '\0') {
+        config_.audit_interval = parseKnobUint("CMPSIM_AUDIT", env);
         config_.audit_fill_roundtrip = config_.audit_interval != 0;
     }
     // Same pattern for the forward-progress watchdog: CMPSIM_WATCHDOG
     // overrides the cycle budget (0 disables it).
-    if (const char *env = std::getenv("CMPSIM_WATCHDOG")) {
-        config_.watchdog_cycles =
-            static_cast<Cycle>(std::strtoull(env, nullptr, 10));
+    if (const char *env = std::getenv("CMPSIM_WATCHDOG");
+        env != nullptr && *env != '\0') {
+        config_.watchdog_cycles = parseKnobUint("CMPSIM_WATCHDOG", env);
     }
     // And for interval time-series sampling: CMPSIM_SAMPLE_CYCLES
     // sets the period (0 disables).
-    if (const char *env = std::getenv("CMPSIM_SAMPLE_CYCLES")) {
+    if (const char *env = std::getenv("CMPSIM_SAMPLE_CYCLES");
+        env != nullptr && *env != '\0') {
         config_.sample_interval =
-            static_cast<Cycle>(std::strtoull(env, nullptr, 10));
+            parseKnobUint("CMPSIM_SAMPLE_CYCLES", env);
     }
     // Opt-in CPI-stack / miss-genealogy layer (DESIGN.md §9):
     // CMPSIM_CPISTACK arms it ("0" or empty leaves it off). Pure
@@ -56,12 +59,11 @@ CmpSystem::CmpSystem(const SystemConfig &config,
         config_.cpi_stack =
             *env != '\0' && std::strcmp(env, "0") != 0;
     }
-    // Checkpoint/restore knobs (DESIGN.md §13). Tagging must be armed
-    // before any component can create a continuation, so every pending
-    // closure a later save() walks carries its serializable tag.
+    // Checkpoint/restore knobs (DESIGN.md §13). Arming is decided here,
+    // once, for this system only: an armed system captures its
+    // quiesced points and logs its calls from construction on.
     ckpt_settings_ = ckpt::Settings::fromEnv();
-    if (ckpt_settings_.armed())
-        ckpt::setArmed(true);
+    ckpt_armed_ = ckpt_settings_.armed() || ckpt::armed();
     config_.validate();
     if (ckpt_settings_.armed() && config_.sample_interval > 0) {
         throw ConfigError(
@@ -140,6 +142,8 @@ CmpSystem::CmpSystem(const SystemConfig &config,
         restoreCheckpoint(
             ckpt::loadWithFallback(ckpt_settings_.restore_path));
         ckpt::noteRestored();
+    } else {
+        markQuiesced(); // freshly constructed
     }
 }
 
@@ -170,10 +174,6 @@ CmpSystem::buildSystem()
             std::make_unique<L1Cache>(eq_, *l2_, c, l1i_params));
         l1d_.push_back(
             std::make_unique<L1Cache>(eq_, *l2_, c, l1d_params));
-        // Checkpoint identity (2*cpu + data side): lets an L2 response
-        // tag name which L1 to fill on restore.
-        l1i_.back()->setCkptId(2 * c);
-        l1d_.back()->setCkptId(2 * c + 1);
     }
 
     l2_->setL1Invalidator([this](unsigned cpu, Addr line) {
@@ -375,6 +375,7 @@ CmpSystem::warmup(std::uint64_t instr_per_core)
         // the checkpoint. Re-warming would corrupt them.
         return;
     }
+    logCall({LoggedCall::kWarmup, instr_per_core});
     Tracer *tracer = Tracer::armed();
     const std::uint64_t t0 = tracer != nullptr ? tracer->nowWallUs() : 0;
 
@@ -424,9 +425,11 @@ CmpSystem::run(std::uint64_t instr_per_core)
     const std::uint64_t wall0 =
         tracer != nullptr ? tracer->nowWallUs() : 0;
 
-    // Loop cursors live in run_state_ so a mid-run checkpoint carries
-    // them; on a fresh run initRunState() fills them, on a resume the
-    // restored values already point mid-measurement.
+    // Loop cursors live in run_state_ so a run can stop early and
+    // resume; on a fresh run initRunState() fills them, on a resume
+    // the values the replay left behind already point mid-measurement.
+    if (!run_state_.active)
+        logCall({LoggedCall::kRun, instr_per_core});
     initRunState(instr_per_core);
     const Cycle start = run_state_.start;
     const std::uint64_t start_retired = run_state_.start_retired;
@@ -454,10 +457,14 @@ CmpSystem::run(std::uint64_t instr_per_core)
 
     // Autosave cadence restarts from "now" on every run() entry (it is
     // wall-progress insurance, not simulated state, so it is not a
-    // serialized cursor).
+    // saved cursor). A replay never autosaves: it stops instead at
+    // replay_stop_, the cycle its checkpoint was taken, at the same
+    // point in the loop.
     const std::uint64_t ckpt_every =
         ckpt_settings_.autosaveArmed() ? ckpt_settings_.every : 0;
-    Cycle next_ckpt = ckpt_every > 0 ? now + ckpt_every : kCycleNever;
+    Cycle next_ckpt = replaying_        ? replay_stop_
+                      : ckpt_every > 0 ? now + ckpt_every
+                                       : kCycleNever;
 
     while (retired < target) {
         if ((++iterations & 0x1ff) == 0)
@@ -517,7 +524,9 @@ CmpSystem::run(std::uint64_t instr_per_core)
             run_state_.next_obs = next_obs;
             run_state_.last_progress = last_progress;
             run_state_.last_retired = last_retired;
-            saveCheckpointNow();
+            if (replaying_)
+                return; // run_state_ stays active: resumable
+            ckpt::atomicSave(ckpt_settings_.save_path, checkpointBytes());
             next_ckpt = now + ckpt_every;
         }
     }
@@ -586,6 +595,8 @@ CmpSystem::fastForward(std::uint64_t instr_per_core,
     // existing work (DRAM refresh is lazy, cores create new events
     // only via tick(), which the drain never calls).
     eq_.drain();
+    markQuiesced();
+    logCall({LoggedCall::kFastForward, instr_per_core, warm_per_core});
 
     ff_engine_->advance(instr_per_core, warm_per_core);
     sample_state_.ff_instructions +=
@@ -636,6 +647,7 @@ CmpSystem::adoptSkip(const CmpSystem &leader,
         instr_per_core * static_cast<std::uint64_t>(config_.cores);
     ff_engine_->noteAdopted(budget);
     sample_state_.ff_instructions += budget;
+    markQuiesced();
 }
 
 std::string
@@ -651,12 +663,61 @@ CmpSystem::restoreCheckpoint(std::string_view bytes)
     CheckpointCodec codec(*this);
     codec.restore(bytes);
     restored_ = true;
+    ckpt_armed_ = true; // its later snapshots extend the restored log
 }
 
 void
-CmpSystem::saveCheckpointNow()
+CmpSystem::markQuiesced()
 {
-    ckpt::atomicSave(ckpt_settings_.save_path, checkpointBytes());
+    if (!ckpt_armed_ || replaying_)
+        return;
+    quiesced_ = CheckpointCodec(*this).captureQuiesced();
+    calls_.clear();
+}
+
+void
+CmpSystem::logCall(LoggedCall call)
+{
+    if (ckpt_armed_ && !replaying_)
+        calls_.push_back(call);
+}
+
+void
+CmpSystem::replay(const CallLog &log)
+{
+    // The saved run already passed every fault site and trace probe on
+    // the way to its checkpoint; a resumed run must not pass them
+    // again.
+    const FaultMuteGuard no_faults;
+    const TraceMuteGuard no_trace;
+    replaying_ = true;
+    for (std::size_t i = 0; i < log.calls.size(); ++i) {
+        const LoggedCall &c = log.calls[i];
+        switch (c.kind) {
+          case LoggedCall::kWarmup:
+            warmup(c.instr);
+            break;
+          case LoggedCall::kFastForward:
+            fastForward(c.instr, c.warm);
+            break;
+          case LoggedCall::kRun:
+            replay_stop_ = i + 1 == log.calls.size() ? log.interrupted_at
+                                                     : kCycleNever;
+            run(c.instr);
+            break;
+        }
+    }
+    replaying_ = false;
+    // A replay that finishes the run the checkpoint interrupted has
+    // diverged from the saved run; resuming would silently measure a
+    // different one.
+    if (log.interrupted_at != kCycleNever && !run_state_.active) {
+        throw InvariantError("ckpt.replay",
+                             "replayed run() finished before cycle " +
+                                 std::to_string(log.interrupted_at) +
+                                 ", where its checkpoint was taken");
+    }
+    calls_ = log.calls;
 }
 
 std::string

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/audit/invariant_registry.h"
+#include "src/ckpt/checkpoint.h"
 #include "src/ckpt/controller.h"
 #include "src/compression/fpc.h"
 #include "src/core_api/system_config.h"
@@ -123,7 +124,8 @@ class CmpSystem
     /**
      * Budgeted functional fast-forward between detailed intervals:
      * drain every event queue to quiescence (functional execution
-     * must not race pending fills holding tag references), then
+     * must not race pending fills holding tag references) — a
+     * checkpoint's quiesced point when checkpointing is armed — then
      * advance every core @p instr_per_core instructions through the
      * FastForwardEngine with no event timing. Unlike warmup() this
      * does NOT reset stats — the SamplingController brackets detailed
@@ -156,7 +158,8 @@ class CmpSystem
      * counters, and replay the value-store journal. Requires lockstep
      * twins: same workload, seed and core count, and this system at
      * exactly instr_per_core retired instructions behind the leader
-     * (asserted per core).
+     * (asserted per core). The end is a checkpoint's quiesced point,
+     * so a checkpoint never needs to replay an adoption.
      */
     void adoptSkip(const CmpSystem &leader,
                    const std::vector<ValueStore::Op> &ops,
@@ -165,8 +168,8 @@ class CmpSystem
     /**
      * Sampling-plan progress (interval cursor, per-interval metric
      * samples, accumulated stat deltas). Lives here rather than in
-     * the SamplingController so CheckpointCodec serializes it: a
-     * mid-plan autosave restores to the exact interval boundary or
+     * the SamplingController so CheckpointCodec saves it with every
+     * snapshot: a mid-plan autosave restores to the exact
      * mid-interval point and the finished run's report is
      * byte-identical to the uninterrupted one.
      */
@@ -201,34 +204,38 @@ class CmpSystem
     // ---- checkpoint/restore (DESIGN.md §13) ----
 
     /**
-     * Serialize the complete simulator state (event queues, cache
-     * tags, MSHRs, link/DRAM in-flight work, prefetcher tables, RNG
-     * cursors, every stat) as one versioned, CRC-protected container.
+     * The current state as one versioned, CRC-protected container:
+     * the sections captured at the last quiesced point, the calls
+     * made since, and the sampling progress (src/ckpt/checkpoint.h).
      * A system built from the same (config, workload) restored from
      * these bytes finishes the run with byte-identical stat dumps.
+     * Throws ConfigError("config.ckpt") when checkpointing was not
+     * armed at construction (CMPSIM_CKPT, CMPSIM_RESTORE or
+     * ckpt::setArmed).
      */
     std::string checkpointBytes();
 
     /**
-     * Restore the full state captured by checkpointBytes() into this
-     * freshly constructed system. Throws ckpt::CorruptCheckpoint on
+     * Restore the state captured by checkpointBytes() into this
+     * freshly constructed system by decoding its quiesced sections and
+     * replaying the logged calls. Throws ckpt::CorruptCheckpoint on
      * structural damage and ConfigError("config.restore") when the
      * checkpoint's fingerprint or format version does not match.
      */
     void restoreCheckpoint(std::string_view bytes);
 
     /** True when this system resumed from a checkpoint (warmup is a
-     *  no-op then: the restored state is already mid-measurement). */
+     *  no-op then: the restored state already includes it). */
     bool restoredFromCheckpoint() const { return restored_; }
 
   private:
     friend class CheckpointCodec;
 
     /**
-     * Mid-run loop state, promoted from run() locals so a checkpoint
-     * taken between iterations carries the retirement target and
-     * periodic-task cursors, letting a restored system resume toward
-     * the *original* target.
+     * Timed-run loop state, promoted from run() locals so a run that
+     * stopped early (a replayed run ending where its checkpoint was
+     * taken) resumes toward the *original* retirement target with the
+     * same periodic-task cursors.
      */
     struct RunState
     {
@@ -243,8 +250,16 @@ class CmpSystem
         std::uint64_t last_retired = 0;
     };
 
-    /** Serialize + atomically write one autosave snapshot. */
-    void saveCheckpointNow();
+    /** A quiesced point: when checkpointing is armed, capture the
+     *  quiesced sections and clear the call log. */
+    void markQuiesced();
+
+    /** Append @p call to the call log when checkpointing is armed. */
+    void logCall(LoggedCall call);
+
+    /** Re-execute @p log after its quiesced sections were decoded,
+     *  with autosave, tracing and fault sites muted. */
+    void replay(const CallLog &log);
 
     /** Fill run_state_ for a fresh run; no-op when resuming (the
      *  restored cursors already point mid-run). */
@@ -292,6 +307,13 @@ class CmpSystem
     SampleState sample_state_;                     ///< see sampleState()
 
     ckpt::Settings ckpt_settings_;
+    bool ckpt_armed_ = false; ///< decided once, at construction
+    bool replaying_ = false;  ///< inside replay()
+    /** Where a replayed run() stops, leaving run_state_ active (the
+     *  cycle an interrupted run was saved at; kCycleNever = finish). */
+    Cycle replay_stop_ = kCycleNever;
+    std::vector<ckpt::Section> quiesced_; ///< see markQuiesced()
+    std::vector<LoggedCall> calls_;       ///< calls since quiesced_
     RunState run_state_;
     bool restored_ = false;
 

@@ -13,14 +13,9 @@ envUint64Or(const char *name, std::uint64_t fallback)
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
-    char *end = nullptr;
-    const auto parsed = std::strtoull(v, &end, 10);
-    // Reject only genuine parse failures (no digits, trailing junk):
-    // an explicit 0 is a legitimate value (CMPSIM_JOBS=0 means "auto",
-    // CMPSIM_WARMUP=0 means "no warmup").
-    if (end == v || *end != '\0')
-        cmpsim_fatal("bad value for %s: %s", name, v);
-    return parsed;
+    // An explicit 0 is a legitimate value (CMPSIM_JOBS=0 means
+    // "auto", CMPSIM_WARMUP=0 means "no warmup").
+    return parseKnobUint(name, v);
 }
 
 namespace {

@@ -99,8 +99,8 @@ unsigned defaultSeeds();
 /**
  * Parse environment variable @p name as an unsigned integer,
  * returning @p fallback when unset or empty. An explicit 0 is a
- * valid value (e.g. CMPSIM_WARMUP=0, CMPSIM_JOBS=0 = auto); only a
- * string with no digits or trailing garbage is fatal.
+ * valid value (e.g. CMPSIM_WARMUP=0, CMPSIM_JOBS=0 = auto); anything
+ * parseKnobUint() rejects throws ConfigError naming the knob.
  */
 std::uint64_t envUint64Or(const char *name, std::uint64_t fallback);
 

@@ -48,7 +48,7 @@ DramBackend::beatsFor(unsigned segments) const
 
 void
 DramBackend::read(Addr line_addr, unsigned segments, bool prefetch,
-                  Cycle when, Done done, ckpt::Tag done_tag)
+                  Cycle when, Done done)
 {
     faultSite("dram.access");
     const Decoded d = decode(line_addr);
@@ -61,8 +61,7 @@ DramBackend::read(Addr line_addr, unsigned segments, bool prefetch,
     ++b.pending;
     ch.reads.push_back(Request{line_addr, d.row, d.bank,
                                beatsFor(segments), prefetch, when,
-                               next_seq_++, std::move(done),
-                               std::move(done_tag)});
+                               next_seq_++, std::move(done)});
     wake(d.channel, when);
 }
 
@@ -79,7 +78,7 @@ DramBackend::write(Addr line_addr, unsigned segments, Cycle when)
     ++b.pending;
     ch.writes.push_back(Request{line_addr, d.row, d.bank,
                                beatsFor(segments), false, when,
-                               next_seq_++, nullptr, {}});
+                               next_seq_++, nullptr});
     wake(d.channel, when);
 }
 
@@ -90,8 +89,7 @@ DramBackend::wake(unsigned ci, Cycle at)
     if (ch.busy)
         return;
     ch.busy = true;
-    eq_.schedule(std::max(at, eq_.now()), [this, ci] { pump(ci); },
-                 ckpt::tag(ckpt::kDramPump, ci));
+    eq_.schedule(std::max(at, eq_.now()), [this, ci] { pump(ci); });
 }
 
 bool
@@ -176,8 +174,7 @@ DramBackend::pump(unsigned ci)
             b.ready = std::max(b.ready, now + params_.refresh_cycles);
         }
         eq_.schedule(now + params_.refresh_cycles,
-                     [this, ci] { pump(ci); },
-                     ckpt::tag(ckpt::kDramPump, ci));
+                     [this, ci] { pump(ci); });
         return;
     }
 
@@ -216,8 +213,7 @@ DramBackend::pump(unsigned ci)
             ch.busy = false;
             return;
         }
-        eq_.schedule(earliest, [this, ci] { pump(ci); },
-                     ckpt::tag(ckpt::kDramPump, ci));
+        eq_.schedule(earliest, [this, ci] { pump(ci); });
         return;
     }
 
@@ -240,8 +236,7 @@ DramBackend::pump(unsigned ci)
                          ++conserv_writes_out_;
                          --inflight_writes_;
                          pump(ci);
-                     },
-                     ckpt::tag(ckpt::kDramWriteDone, ci));
+                     });
     } else {
         ++inflight_reads_;
         read_queue_wait_.sample(static_cast<double>(now - r.ready));
@@ -251,17 +246,14 @@ DramBackend::pump(unsigned ci)
         eq_.schedule(done_at,
                      [done = std::move(r.done), done_at] {
                          done(done_at);
-                     },
-                     ckpt::tag(ckpt::kDoneAt, done_at, 0, 0, 0,
-                               std::move(r.tag)));
+                     });
         eq_.schedule(data_end,
                      [this, ci] {
                          ++reads_serviced_;
                          ++conserv_reads_out_;
                          --inflight_reads_;
                          pump(ci);
-                     },
-                     ckpt::tag(ckpt::kDramReadSvc, ci));
+                     });
     }
 }
 

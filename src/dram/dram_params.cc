@@ -23,13 +23,7 @@ badSpec(const std::string &why)
 std::uint64_t
 parseUint(const std::string &key, const std::string &value)
 {
-    if (value.empty())
-        badSpec("empty value for \"" + key + "\"");
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(value.c_str(), &end, 10);
-    if (end != value.c_str() + value.size())
-        badSpec("bad integer \"" + value + "\" for \"" + key + "\"");
-    return v;
+    return parseKnobUint("CMPSIM_DRAM " + key, value, "env.CMPSIM_DRAM");
 }
 
 void

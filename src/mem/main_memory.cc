@@ -25,7 +25,7 @@ MainMemory::dataSegments(Addr line_addr)
 
 void
 MainMemory::fetchLine(Addr line_addr, Cycle when, bool prefetch,
-                      FetchCallback done, ckpt::Tag done_tag)
+                      FetchCallback done)
 {
     ++reads_;
     ++header_flits_;
@@ -33,46 +33,42 @@ MainMemory::fetchLine(Addr line_addr, Cycle when, bool prefetch,
         prefetch ? LinkClass::Prefetch : LinkClass::Demand;
 
     // Request message toward memory, then DRAM, then the data message
-    // back (fetchStage2 -> fetchSendData -> fetchDeliver). The data
-    // message enters the link queue only when DRAM has produced it.
-    // Lines are stored in memory in the form the chip sent them (ECC
-    // meta-bit trick), so the banked backend's burst count follows the
-    // stored segment count.
-    ckpt::Tag deliver_tag =
-        ckpt::tag(ckpt::kMemReqArrived, line_addr, when,
-                  static_cast<std::uint64_t>(cls), 0, done_tag);
+    // back. The data message enters the link queue only when DRAM has
+    // produced it. Lines are stored in memory in the form the chip sent
+    // them (ECC meta-bit trick), so the banked backend's burst count
+    // follows the stored segment count.
     link_.send(kMessageHeaderBytes, cls, when,
-               [this, line_addr, when, cls, done = std::move(done),
-                done_tag =
-                    std::move(done_tag)](Cycle req_arrives) mutable {
+               [this, line_addr, when, cls,
+                done = std::move(done)](Cycle req_arrives) mutable {
                    fetchStage2(line_addr, when, cls, std::move(done),
-                               std::move(done_tag), req_arrives);
-               },
-               std::move(deliver_tag));
+                               req_arrives);
+               });
 }
 
 void
 MainMemory::fetchStage2(Addr line_addr, Cycle when, LinkClass cls,
-                        FetchCallback done, ckpt::Tag done_tag,
-                        Cycle req_arrives)
+                        FetchCallback done, Cycle req_arrives)
 {
     const unsigned segments = dataSegments(line_addr);
     if (journal_ != nullptr)
         journal_->onMemRequestSent(line_addr, when, req_arrives, segments);
-    ckpt::Tag send_tag =
-        ckpt::tag(ckpt::kMemSendData, when,
-                  static_cast<std::uint64_t>(cls), segments, 0,
-                  done_tag);
-    auto send_data = [this, when, cls, segments, done = std::move(done),
-                      done_tag =
-                          std::move(done_tag)](Cycle dram_done) mutable {
-        fetchSendData(when, cls, segments, std::move(done),
-                      std::move(done_tag), dram_done);
+    auto send_data = [this, when, cls, segments,
+                      done = std::move(done)](Cycle dram_done) mutable {
+        ++header_flits_;
+        data_flits_ += segments;
+        const unsigned bytes =
+            kMessageHeaderBytes + segments * kSegmentBytes;
+        link_.send(bytes, cls, dram_done,
+                   [this, when, done = std::move(done)](Cycle at) {
+                       read_latency_.sample(static_cast<double>(at - when));
+                       read_latency_hist_.sample(
+                           static_cast<double>(at - when));
+                       done(at);
+                   });
     };
     if (dram_) {
         dram_->read(line_addr, segments, cls == LinkClass::Prefetch,
-                    req_arrives, std::move(send_data),
-                    std::move(send_tag));
+                    req_arrives, std::move(send_data));
     } else {
         if (journal_ != nullptr) {
             journal_->onDramFixed(line_addr, req_arrives,
@@ -80,31 +76,6 @@ MainMemory::fetchStage2(Addr line_addr, Cycle when, LinkClass cls,
         }
         send_data(req_arrives + params_.dram_latency);
     }
-}
-
-void
-MainMemory::fetchSendData(Cycle when, LinkClass cls, unsigned segments,
-                          FetchCallback done, ckpt::Tag done_tag,
-                          Cycle dram_done)
-{
-    ++header_flits_;
-    data_flits_ += segments;
-    const unsigned bytes = kMessageHeaderBytes + segments * kSegmentBytes;
-    ckpt::Tag deliver_tag = ckpt::tag(ckpt::kMemDataDelivered, when, 0,
-                                      0, 0, std::move(done_tag));
-    link_.send(bytes, cls, dram_done,
-               [this, when, done = std::move(done)](Cycle at) {
-                   fetchDeliver(when, done, at);
-               },
-               std::move(deliver_tag));
-}
-
-void
-MainMemory::fetchDeliver(Cycle when, const FetchCallback &done, Cycle at)
-{
-    read_latency_.sample(static_cast<double>(at - when));
-    read_latency_hist_.sample(static_cast<double>(at - when));
-    done(at);
 }
 
 void
@@ -120,15 +91,12 @@ MainMemory::writebackLine(Addr line_addr, Cycle when)
     // they enter the controller's write queue on arrival and occupy
     // bank/bus time when drained.
     PriorityLink::Deliver deliver = nullptr;
-    ckpt::Tag deliver_tag;
     if (dram_) {
         deliver = [this, line_addr, segments](Cycle at) {
             dram_->write(line_addr, segments, at);
         };
-        deliver_tag = ckpt::tag(ckpt::kMemDramWrite, line_addr, segments);
     }
-    link_.send(bytes, LinkClass::Writeback, when, std::move(deliver),
-               std::move(deliver_tag));
+    link_.send(bytes, LinkClass::Writeback, when, std::move(deliver));
 }
 
 void

@@ -20,7 +20,6 @@
 #include <memory>
 #include <string>
 
-#include "src/ckpt/cont_tag.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/dram/dram_params.h"
@@ -70,11 +69,9 @@ class MainMemory
      *
      * @param when cycle the request message is ready to leave the chip
      * @param prefetch arbitrate below demand fetches and writebacks
-     * @param done_tag serializable description of @p done for
-     *        checkpointing (empty unless checkpoint tagging is armed)
      */
     void fetchLine(Addr line_addr, Cycle when, bool prefetch,
-                   FetchCallback done, ckpt::Tag done_tag = {});
+                   FetchCallback done);
 
     /** Write the line at @p line_addr back to memory (no response). */
     void writebackLine(Addr line_addr, Cycle when);
@@ -106,28 +103,13 @@ class MainMemory
     const MemoryParams &params() const { return params_; }
 
   private:
-    friend class CheckpointCodec; // rebuilds the fetch-stage closures
-
     /** Payload segments for a data message for @p line_addr. */
     unsigned dataSegments(Addr line_addr);
 
-    // The fetch pipeline's continuations, named (instead of nested
-    // lambdas) so a restored checkpoint can rebuild a pending fetch at
-    // any stage from its continuation tag.
-
     /** Request message arrived at the controller: start DRAM (or the
-     *  fixed latency) and arrange the data message back. */
+     *  fixed latency), then send the data message back. */
     void fetchStage2(Addr line_addr, Cycle when, LinkClass cls,
-                     FetchCallback done, ckpt::Tag done_tag,
-                     Cycle req_arrives);
-
-    /** DRAM produced the data: queue the data message onto the link. */
-    void fetchSendData(Cycle when, LinkClass cls, unsigned segments,
-                       FetchCallback done, ckpt::Tag done_tag,
-                       Cycle dram_done);
-
-    /** Data message landed on-chip: sample latency, complete. */
-    void fetchDeliver(Cycle when, const FetchCallback &done, Cycle at);
+                     FetchCallback done, Cycle req_arrives);
 
     EventQueue &eq_;
     ValueStore &values_;

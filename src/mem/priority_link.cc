@@ -16,7 +16,7 @@ PriorityLink::PriorityLink(EventQueue &eq, double bytes_per_cycle,
 
 void
 PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
-                   Deliver deliver, ckpt::Tag deliver_tag)
+                   Deliver deliver)
 {
     faultSite("link.transfer");
     // Stamp with the current cycle, not `ready` (which may lie in the
@@ -42,20 +42,17 @@ PriorityLink::send(unsigned bytes, LinkClass cls, Cycle ready,
             eq_.schedule(done,
                          [deliver = std::move(deliver), done] {
                              deliver(done);
-                         },
-                         ckpt::tag(ckpt::kDoneAt, done, 0, 0, 0,
-                                   std::move(deliver_tag)));
+                         });
         }
         return;
     }
 
-    queues_[static_cast<unsigned>(cls)].push_back(Message{
-        bytes, ready, std::move(deliver), std::move(deliver_tag)});
+    queues_[static_cast<unsigned>(cls)].push_back(
+        Message{bytes, ready, std::move(deliver)});
     if (!busy_) {
         // Kick the pump at the message's ready time (or now).
         const Cycle at = std::max(ready, eq_.now());
-        eq_.schedule(at, [this] { pump(); },
-                     ckpt::tag(ckpt::kLinkPump));
+        eq_.schedule(at, [this] { pump(); });
     }
 }
 
@@ -119,8 +116,7 @@ PriorityLink::pump()
 
     if (queue == nullptr) {
         if (earliest_future != kCycleNever)
-            eq_.schedule(earliest_future, [this] { pump(); },
-                         ckpt::tag(ckpt::kLinkPump));
+            eq_.schedule(earliest_future, [this] { pump(); });
         return;
     }
 
@@ -137,26 +133,15 @@ PriorityLink::pump()
 
     busy_ = true;
     inflight_bytes_ = msg.bytes;
-    ckpt::Tag ev_tag = ckpt::tag(ckpt::kLinkInflight, msg.bytes, done,
-                                 0, 0, std::move(msg.tag));
-    eq_.schedule(done,
-                 [this, deliver = std::move(msg.deliver), done,
-                  bytes = msg.bytes]() mutable {
-                     completeTransfer(std::move(deliver), done, bytes);
-                 },
-                 std::move(ev_tag));
-}
-
-void
-PriorityLink::completeTransfer(Deliver deliver, Cycle done,
-                               unsigned bytes)
-{
-    busy_ = false;
-    inflight_bytes_ = 0;
-    delivered_bytes_ += bytes;
-    if (deliver)
-        deliver(done);
-    pump();
+    eq_.schedule(done, [this, deliver = std::move(msg.deliver), done,
+                        bytes = msg.bytes] {
+        busy_ = false;
+        inflight_bytes_ = 0;
+        delivered_bytes_ += bytes;
+        if (deliver)
+            deliver(done);
+        pump();
+    });
 }
 
 void

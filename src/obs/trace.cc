@@ -10,6 +10,9 @@ namespace cmpsim {
 
 namespace detail {
 std::atomic<Tracer *> g_tracer{nullptr};
+// Per-thread mute (TraceMuteGuard): set and read only by the thread
+// replaying a checkpoint.
+constinit thread_local bool tl_trace_muted = false;
 } // namespace detail
 
 namespace {
@@ -36,7 +39,7 @@ Tracer::Tracer(const std::string &path)
 
 Tracer::~Tracer()
 {
-    if (armed() == this)
+    if (detail::g_tracer.load(std::memory_order_acquire) == this)
         arm(nullptr);
     std::lock_guard<std::mutex> lock(mutex_);
     // A trailing comma after the last event is invalid JSON; the
@@ -55,7 +58,9 @@ Tracer::arm(Tracer *t)
 Tracer *
 Tracer::armed()
 {
-    return detail::g_tracer.load(std::memory_order_acquire);
+    return detail::tl_trace_muted
+               ? nullptr
+               : detail::g_tracer.load(std::memory_order_acquire);
 }
 
 std::uint64_t
@@ -216,7 +221,8 @@ TraceSession::TraceSession(const std::string &path)
 
 TraceSession::~TraceSession()
 {
-    if (tracer_ != nullptr && Tracer::armed() == tracer_.get())
+    if (tracer_ != nullptr &&
+        detail::g_tracer.load(std::memory_order_acquire) == tracer_.get())
         Tracer::arm(nullptr);
 }
 

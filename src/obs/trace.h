@@ -87,7 +87,8 @@ class Tracer
     /** Make @p t the process-wide tracer (nullptr disarms). */
     static void arm(Tracer *t);
 
-    /** The armed tracer, or nullptr. */
+    /** The armed tracer, or nullptr (also while this thread has
+     *  tracing muted, see TraceMuteGuard). */
     static Tracer *armed();
 
     /** Microseconds of wall time since this tracer opened. */
@@ -163,20 +164,51 @@ class TraceThreadScope
 
 namespace detail {
 extern std::atomic<Tracer *> g_tracer;
+extern constinit thread_local bool tl_trace_muted;
+
+/** The armed tracer, or nullptr when none is armed or this thread
+ *  muted tracing (TraceMuteGuard). */
+inline Tracer *
+probeTracer()
+{
+    Tracer *t = g_tracer.load(std::memory_order_relaxed);
+    return t != nullptr && !tl_trace_muted ? t : nullptr;
+}
 } // namespace detail
+
+/**
+ * Mute every trace probe, and Tracer::armed(), on the current thread
+ * for this guard's lifetime (checkpoint replay: the saved run already
+ * traced that stretch). Other threads keep tracing.
+ */
+class TraceMuteGuard
+{
+  public:
+    TraceMuteGuard() : saved_(detail::tl_trace_muted)
+    {
+        detail::tl_trace_muted = true;
+    }
+    ~TraceMuteGuard() { detail::tl_trace_muted = saved_; }
+
+    TraceMuteGuard(const TraceMuteGuard &) = delete;
+    TraceMuteGuard &operator=(const TraceMuteGuard &) = delete;
+
+  private:
+    bool saved_;
+};
 
 /** Hot-path probe guard: true when a tracer is armed. */
 inline bool
 traceEnabled()
 {
-    return detail::g_tracer.load(std::memory_order_relaxed) != nullptr;
+    return detail::probeTracer() != nullptr;
 }
 
 /** Instant-event probe; free when no tracer is armed. */
 inline void
 traceInstant(const char *name, Cycle cycle, TraceArgs args = {})
 {
-    if (Tracer *t = detail::g_tracer.load(std::memory_order_relaxed))
+    if (Tracer *t = detail::probeTracer())
         t->instant(name, cycle, args);
 }
 
@@ -184,7 +216,7 @@ traceInstant(const char *name, Cycle cycle, TraceArgs args = {})
 inline void
 traceCounter(const char *name, Cycle cycle, TraceArgs args)
 {
-    if (Tracer *t = detail::g_tracer.load(std::memory_order_relaxed))
+    if (Tracer *t = detail::probeTracer())
         t->counter(name, cycle, args);
 }
 

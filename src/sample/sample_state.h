@@ -1,11 +1,11 @@
 /**
  * @file
  * Mutable progress state of one statistical-sampling plan (DESIGN.md
- * §14), owned by CmpSystem so CheckpointCodec can serialize it: a
- * mid-plan autosave must carry the interval cursor, the in-progress
- * interval's stat baseline and every closed interval's metric sample,
- * or a restored run could not resume to a byte-identical final
- * report. The SamplingController in src/sample/ holds the *logic*;
+ * §14), owned by CmpSystem so CheckpointCodec saves it with every
+ * snapshot: a mid-plan autosave must carry the interval cursor, the
+ * in-progress interval's stat baseline and every closed interval's
+ * metric sample, or a restored run could not resume to a
+ * byte-identical final report. The SamplingController in src/sample/ holds the *logic*;
  * all of its *state* lives here.
  */
 

@@ -28,9 +28,9 @@ SamplingController::closeInterval()
 
     IntervalSample s;
     // run() measures from interval start even across a mid-interval
-    // checkpoint restore: the start cursor is part of the serialized
-    // RunState, so cycles()/instructions() always cover the full
-    // interval.
+    // checkpoint restore: the replay leaves the interval's run open
+    // with its original start cursor, so cycles()/instructions()
+    // always cover the full interval.
     s.cycles = static_cast<double>(sys_.cycles());
     s.instructions = static_cast<double>(sys_.instructions());
     s.ipc = sys_.ipc();

@@ -9,8 +9,9 @@
  * All progress state lives in CmpSystem::sampleState() (see
  * sample_state.h) so mid-plan CMPSIM_CKPT autosaves — which always
  * land inside a detailed interval, the only phase that advances
- * simulated time — checkpoint the plan cursor alongside the machine,
- * and a CMPSIM_RESTORE'd system resumes the open interval and the
+ * simulated time — save the plan cursor alongside the machine, and a
+ * CMPSIM_RESTORE'd system (quiesced at the interval's fast-forward,
+ * then replayed to the save point) resumes the open interval and the
  * remaining plan to a byte-identical final report.
  */
 

@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/ckpt/cont_tag.h"
 #include "src/common/log.h"
 #include "src/common/types.h"
 #include "src/obs/profiler.h"
@@ -61,14 +60,9 @@ class EventQueue
         same_cycle_.reserve(events);
     }
 
-    /**
-     * Schedule @p cb at @p when. @pre when >= now(). The optional
-     * @p tag is the callback's serializable description for
-     * checkpointing (src/ckpt/cont_tag.h); it is empty except when a
-     * checkpoint knob armed tagging, and never affects execution.
-     */
+    /** Schedule @p cb at @p when. @pre when >= now(). */
     void
-    schedule(Cycle when, Callback cb, ckpt::Tag tag = {})
+    schedule(Cycle when, Callback cb)
     {
         cmpsim_assert(when >= now_,
                       "schedule into the past: when=%llu now=%llu",
@@ -77,12 +71,10 @@ class EventQueue
         if (when == now_) {
             // Same-cycle continuation: newest seq by construction, so
             // FIFO append order is (when, seq) order.
-            same_cycle_.push_back(
-                Event{when, seq_++, std::move(cb), std::move(tag)});
+            same_cycle_.push_back(Event{when, seq_++, std::move(cb)});
             return;
         }
-        heap_.push_back(
-            Event{when, seq_++, std::move(cb), std::move(tag)});
+        heap_.push_back(Event{when, seq_++, std::move(cb)});
         siftUp(heap_.size() - 1);
     }
 
@@ -162,14 +154,13 @@ class EventQueue
     }
 
   private:
-    friend class CheckpointCodec; // serializes heap_/now_/seq state
+    friend class CheckpointCodec; // saves/restores now_ and seq_
 
     struct Event
     {
         Cycle when;
         std::uint64_t seq;
         Callback cb;
-        ckpt::Tag tag; ///< serializable description of cb (may be null)
 
         bool
         before(const Event &o) const

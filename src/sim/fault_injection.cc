@@ -132,16 +132,10 @@ FaultPlan::parse(const std::string &spec)
                                   "\"");
         }
 
-        auto parseUint = [&entry](const std::string &s,
-                                  const char *what) -> std::uint64_t {
-            char *end = nullptr;
-            const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-            if (end == s.c_str() || *end != '\0') {
-                throw ConfigError("fault.spec",
-                                  std::string("bad ") + what + " \"" + s +
-                                      "\" in \"" + entry + "\"");
-            }
-            return v;
+        auto parseUint = [&entry](const std::string &s, const char *what) {
+            return parseKnobUint(std::string("fault ") + what + " in \"" +
+                                     entry + "\"",
+                                 s, "fault.spec");
         };
 
         FaultSpec fault;

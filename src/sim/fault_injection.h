@@ -127,6 +127,24 @@ class FaultArmGuard
     FaultArmGuard &operator=(const FaultArmGuard &) = delete;
 };
 
+/**
+ * Mute every fault site on the current thread for this guard's
+ * lifetime, keeping the armed plan and its hit counts for afterwards
+ * (checkpoint replay: the saved run already passed those sites).
+ */
+class FaultMuteGuard
+{
+  public:
+    FaultMuteGuard() : saved_(detail::tl_armed) { detail::tl_armed = nullptr; }
+    ~FaultMuteGuard() { detail::tl_armed = saved_; }
+
+    FaultMuteGuard(const FaultMuteGuard &) = delete;
+    FaultMuteGuard &operator=(const FaultMuteGuard &) = delete;
+
+  private:
+    detail::ArmedFaults *saved_;
+};
+
 /** Throw-kind probe: count a hit of @p site; throws InjectedFault
  *  when an armed rule triggers. No-op when nothing is armed. */
 inline void

@@ -2,11 +2,12 @@
  * @file
  * Checkpoint/restore contract (DESIGN.md §13): a run interrupted by
  * an autosave and resumed in a fresh process finishes with stat dumps
- * byte-identical to the uninterrupted run — across lane counts and
- * DRAM backends — while damaged or mismatched snapshots are refused
+ * byte-identical to the uninterrupted run — on both DRAM backends —
+ * while damaged, mismatched or wrong-version snapshots are refused
  * with [config]-kind errors, a bit-flipped primary falls back to its
  * .prev predecessor, and a SIGKILL landing mid-autosave (the chaos
- * test) never loses the run.
+ * test) never loses the run. Snapshots are captured only at quiesced
+ * points (nothing in flight), and arming is decided per system.
  */
 
 #include "src/ckpt/checkpoint.h"
@@ -25,8 +26,10 @@
 
 #include "src/ckpt/cont_tag.h"
 #include "src/ckpt/controller.h"
+#include "src/ckpt/crc32.h"
 #include "src/common/fingerprint.h"
 #include "src/common/sim_error.h"
+#include "src/core_api/experiment.h"
 #include "src/core_api/cmp_system.h"
 #include "src/sim/fault_injection.h"
 #include "src/workload/workload_params.h"
@@ -313,6 +316,128 @@ TEST(CheckpointTest, MalformedCkptSpecIsRefused)
         "snap.bin:every1000");
     EXPECT_EQ(s.save_path, "snap.bin");
     EXPECT_EQ(s.every, 1000u);
+}
+
+TEST(CheckpointTest, OverflowingCkptIntervalIsRefused)
+{
+    for (const char *spec :
+         {"snap.bin:every99999999999999999999999", "snap.bin:every-1",
+          "snap.bin:every+5", "snap.bin:every 5", "snap.bin:every5x"}) {
+        try {
+            ckpt::Settings::parseCkptSpec(spec);
+            ADD_FAILURE() << spec << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.context(), "config.ckpt") << spec;
+            EXPECT_NE(std::string(e.what()).find("CMPSIM_CKPT"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(CheckpointTest, WrongFormatVersionIsRefusedWithoutFallback)
+{
+    const SystemConfig cfg = smallConfig();
+    const std::string path = ckptPath("WrongVersion");
+    removeSnapshots(path);
+    {
+        EnvGuard ckpt("CMPSIM_CKPT", path + ":every500");
+        runToEnd(cfg, "zeus");
+    }
+    std::ifstream prev(path + ".prev", std::ios::binary);
+    ASSERT_TRUE(prev.good()) << "autosave never rotated a .prev";
+    prev.close();
+
+    // Rewrite the primary as a well-formed version-1 container: patch
+    // the u32 version after the 8-byte magic and recompute the
+    // whole-file CRC, so only the version is wrong.
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 16u);
+    ASSERT_EQ(bytes[8], static_cast<char>(ckpt::kFormatVersion));
+    bytes[8] = 1;
+    const std::size_t body = bytes.size() - 4;
+    const std::uint32_t crc = ckpt::crc32(bytes.data(), body);
+    for (int i = 0; i < 4; ++i)
+        bytes[body + i] = static_cast<char>(crc >> (8 * i));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+    // Not damage, so no .prev fallback: the intact .prev is ignored.
+    EnvGuard restore("CMPSIM_RESTORE", path);
+    try {
+        CmpSystem sys(cfg, benchmarkParams("zeus"));
+        FAIL() << "version-1 snapshot was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.context(), "config.restore");
+        EXPECT_NE(std::string(e.what()).find("version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+    removeSnapshots(path);
+}
+
+TEST(CheckpointTest, ArmingIsDecidedPerSystem)
+{
+    const SystemConfig cfg = smallConfig();
+    const std::string path = ckptPath("PerSystemArming");
+    removeSnapshots(path);
+    {
+        EnvGuard ckpt("CMPSIM_CKPT", path + ":every500");
+        CmpSystem armed(cfg, benchmarkParams("zeus"));
+        EXPECT_NO_THROW(armed.checkpointBytes());
+    }
+    // The armed system above left no process-wide arming behind: a
+    // system built afterwards captures no quiesced point and logs
+    // nothing, so it has no snapshot to give.
+    EXPECT_FALSE(ckpt::armed());
+    CmpSystem later(cfg, benchmarkParams("zeus"));
+    later.warmup(kWarmup);
+    later.run(kMeasure);
+    EXPECT_THROW(later.checkpointBytes(), ConfigError);
+    removeSnapshots(path);
+}
+
+// ------------------------------------------------- quiesced points
+
+TEST(CheckpointQuiescenceTest, FastForwardDrainLeavesNoPendingWork)
+{
+    for (const DramBackendKind backend :
+         {DramBackendKind::Fixed, DramBackendKind::Banked}) {
+        SystemConfig cfg = smallConfig();
+        cfg.dram.backend = backend;
+        cfg.sampling = SamplingPlan::parse("4000:2000:2");
+        CmpSystem sys(cfg, benchmarkParams("zeus"));
+        sys.warmup(kWarmup);
+        sys.run(kMeasure);
+        // A finished run() leaves misses and their link/DRAM traffic
+        // in flight...
+        EXPECT_NE(CheckpointCodec(sys).pendingWork(), "");
+        // ...which fastForward()'s drain completes. A pure-skip
+        // fast-forward issues no timed work, so the system returns in
+        // the state the drain left it in.
+        sys.fastForward(1000, 0);
+        EXPECT_EQ(CheckpointCodec(sys).pendingWork(), "");
+    }
+}
+
+TEST(CheckpointQuiescenceTest, CaptureWithPendingWorkIsRefused)
+{
+    CmpSystem sys(smallConfig(), benchmarkParams("zeus"));
+    sys.warmup(kWarmup);
+    sys.run(kMeasure);
+    try {
+        CheckpointCodec(sys).captureQuiesced();
+        FAIL() << "captured a snapshot with work in flight";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.context(), "config.ckpt");
+        EXPECT_NE(std::string(e.what()).find("events"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------- fault sites

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
+#include "src/common/sim_error.h"
 #include "src/core_api/experiment.h"
 #include "src/core_api/miss_classify.h"
 
@@ -231,6 +235,88 @@ TEST(ExperimentTest, MissObserverFeedsClassifier)
     sys.run(kMeasure);
     EXPECT_EQ(profile.totalDemandMisses(),
               sys.stats().counter("l2.demand_misses"));
+}
+
+// ------------------------------------------------------ env knobs
+
+/** Sets one environment knob for its lifetime and then restores its
+ *  previous value (the suite may itself run under CMPSIM_AUDIT). */
+class KnobGuard
+{
+  public:
+    KnobGuard(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name)) {
+            had_ = true;
+            old_ = old;
+        }
+        ::setenv(name, value, 1);
+    }
+    ~KnobGuard()
+    {
+        if (had_)
+            ::setenv(name_, old_.c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+    KnobGuard(const KnobGuard &) = delete;
+    KnobGuard &operator=(const KnobGuard &) = delete;
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+SystemConfig
+knobConfig()
+{
+    return makeConfig(2, 8, false, false, false, false);
+}
+
+/** Every malformed value of integer knob @p knob is refused when a
+ *  CmpSystem is built, with a ConfigError naming the knob. */
+void
+expectStrictKnob(const char *knob)
+{
+    for (const char *bad : {"abc", "1abc", "-1", "+5", " 7",
+                            "99999999999999999999999"}) {
+        KnobGuard env(knob, bad);
+        try {
+            CmpSystem sys(knobConfig(), benchmarkParams("zeus"));
+            ADD_FAILURE() << knob << "=\"" << bad << "\" was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.context(), std::string("env.") + knob) << bad;
+            EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(CmpSystemKnobTest, AuditIsParsedStrictly)
+{
+    expectStrictKnob("CMPSIM_AUDIT");
+    KnobGuard env("CMPSIM_AUDIT", "7000");
+    CmpSystem sys(knobConfig(), benchmarkParams("zeus"));
+    EXPECT_EQ(sys.config().audit_interval, 7000u);
+    EXPECT_TRUE(sys.config().audit_fill_roundtrip);
+}
+
+TEST(CmpSystemKnobTest, WatchdogIsParsedStrictly)
+{
+    expectStrictKnob("CMPSIM_WATCHDOG");
+    KnobGuard env("CMPSIM_WATCHDOG", "123456");
+    CmpSystem sys(knobConfig(), benchmarkParams("zeus"));
+    EXPECT_EQ(sys.config().watchdog_cycles, 123456u);
+}
+
+TEST(CmpSystemKnobTest, SampleCyclesIsParsedStrictly)
+{
+    expectStrictKnob("CMPSIM_SAMPLE_CYCLES");
+    KnobGuard env("CMPSIM_SAMPLE_CYCLES", "5000");
+    CmpSystem sys(knobConfig(), benchmarkParams("zeus"));
+    EXPECT_EQ(sys.config().sample_interval, 5000u);
 }
 
 } // namespace

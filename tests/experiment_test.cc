@@ -63,6 +63,27 @@ TEST_F(EnvUint64OrTest, TrailingGarbageIsFatal)
     EXPECT_THROW(envUint64Or(kVar, 7), ConfigError);
 }
 
+TEST_F(EnvUint64OrTest, SignIsFatal)
+{
+    // strtoull would wrap "-1" to 2^64-1.
+    for (const char *signed_value : {"-1", "+4"}) {
+        ::setenv(kVar, signed_value, 1);
+        EXPECT_THROW(envUint64Or(kVar, 7), ConfigError) << signed_value;
+    }
+}
+
+TEST_F(EnvUint64OrTest, OverflowIsFatalAndNamesTheKnob)
+{
+    ::setenv(kVar, "99999999999999999999999", 1);
+    try {
+        envUint64Or(kVar, 7);
+        FAIL() << "overflowing value was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.context(), std::string("env.") + kVar);
+        EXPECT_NE(std::string(e.what()).find(kVar), std::string::npos);
+    }
+}
+
 TEST(DefaultJobsTest, ZeroMeansHardwareAuto)
 {
     ::setenv("CMPSIM_JOBS", "0", 1);

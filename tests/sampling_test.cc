@@ -14,10 +14,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/ckpt/checkpoint.h"
+#include "src/ckpt/cont_tag.h"
 #include "src/common/fingerprint.h"
 #include "src/common/sim_error.h"
 #include "src/core_api/cmp_system.h"
@@ -304,6 +308,51 @@ TEST(SamplingCheckpointTest, MidPlanRestoreFinishesByteIdentical)
     std::remove((path + ".prev").c_str());
 }
 
+/** The call log of checkpoint container @p bytes. */
+CallLog
+snapshotLog(const std::string &bytes)
+{
+    for (const ckpt::Section &s : ckpt::parseFile(bytes).sections) {
+        if (s.name == "log")
+            return CheckpointCodec::decodeLog(s.payload);
+    }
+    ADD_FAILURE() << "snapshot has no log section";
+    return {};
+}
+
+TEST(SamplingCheckpointTest, MidPlanLogStartsAtLastFastForward)
+{
+    SystemConfig cfg = smallConfig();
+    cfg.sampling = SamplingPlan::parse("4000:2000:4:warm1000");
+    const std::string path =
+        ::testing::TempDir() + "cmpsim_sampling_midplan_log.ckpt";
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+    {
+        EnvGuard ckpt("CMPSIM_CKPT", path + ":every1000");
+        CmpSystem sys(cfg, benchmarkParams("zeus"));
+        SamplingController(sys).run();
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+
+    // Every fast-forward drains to a quiesced point, so the last
+    // (mid-interval) snapshot replays one fast-forward and part of one
+    // detailed interval, never the plan so far.
+    const CallLog log = snapshotLog(bytes);
+    ASSERT_EQ(log.calls.size(), 2u);
+    EXPECT_EQ(log.calls[0].kind, LoggedCall::kFastForward);
+    EXPECT_EQ(log.calls[0].instr, 4000u);
+    EXPECT_EQ(log.calls[0].warm, 1000u);
+    EXPECT_EQ(log.calls[1].kind, LoggedCall::kRun);
+    EXPECT_EQ(log.calls[1].instr, 2000u);
+    EXPECT_NE(log.interrupted_at, kCycleNever);
+
+    std::remove(path.c_str());
+    std::remove((path + ".prev").c_str());
+}
+
 // ------------------------------------------------- matrix sampler
 
 TEST(MatrixSamplerTest, LeaderIsByteIdenticalToStandaloneRun)
@@ -362,6 +411,40 @@ TEST(MatrixSamplerTest, MatrixRunsAreDeterministic)
             samplesHash(results[1]) ^ statsHash(follow);
     }
     EXPECT_EQ(follower_hash[0], follower_hash[1]);
+}
+
+TEST(MatrixSamplerTest, AdoptedSkipEndsAtAQuiescedPoint)
+{
+    SystemConfig base = smallConfig();
+    base.sampling = SamplingPlan::parse("6000:2000:3:warm2000");
+    SystemConfig pref = base;
+    pref.prefetching = false;
+
+    ckpt::setArmed(true);
+    CmpSystem lead(base, benchmarkParams("zeus"));
+    CmpSystem follow(pref, benchmarkParams("zeus"));
+    CmpSystem resumed(pref, benchmarkParams("zeus"));
+    ckpt::setArmed(false);
+
+    lead.run(2000);
+    follow.run(2000);
+    const std::vector<ValueStore::Op> ops =
+        lead.fastForwardJournaled(4000);
+    follow.adoptSkip(lead, ops, 4000);
+
+    // The adoption's end is a quiesced point, so no log ever holds an
+    // adoptSkip: a snapshot taken here has nothing to replay...
+    const std::string at_adopt = follow.checkpointBytes();
+    EXPECT_TRUE(snapshotLog(at_adopt).calls.empty());
+    follow.run(2000);
+    const CallLog after = snapshotLog(follow.checkpointBytes());
+    ASSERT_EQ(after.calls.size(), 1u);
+    EXPECT_EQ(after.calls[0].kind, LoggedCall::kRun);
+
+    // ...and restoring it needs no leader to finish identically.
+    resumed.restoreCheckpoint(at_adopt);
+    resumed.run(2000);
+    EXPECT_EQ(statsHash(resumed), statsHash(follow));
 }
 
 // ------------------------------------------------- experiment layer

@@ -23,13 +23,16 @@
  * A third leg checks checkpoint/restore (DESIGN.md Section 13): a
  * run with periodic CMPSIM_CKPT autosaves must hash identically to
  * the plain baseline (saving is a pure observer), and a fresh system
- * resumed from the last mid-run snapshot with CMPSIM_RESTORE must
- * finish with that same hash.
+ * resumed from the last mid-run snapshot with CMPSIM_RESTORE — which
+ * decodes the state at construction and replays the warm-up and the
+ * measured run up to the save point — must finish with that same
+ * hash.
  *
  * A fourth leg checks the statistical sampling engine (DESIGN.md
  * Section 14): a sampled run must reproduce across runner worker
  * counts (jobs 1 vs 4 on the published summaries) and across a
- * mid-plan checkpoint/restore.
+ * mid-plan checkpoint/restore, which decodes the state at the last
+ * fast-forward's drain and replays only from there.
  *
  *   determinism_check [workload ...]      # default: zeus apsi
  *
