@@ -7,7 +7,7 @@ namespace cmpsim {
 DecoupledSet::DecoupledSet(unsigned tags, unsigned segment_budget)
     : entries_(tags), segment_budget_(segment_budget)
 {
-    cmpsim_assert(tags > 0);
+    cmpsim_assert(tags > 0 && tags <= kMaxSetTags);
     cmpsim_assert(segment_budget >= kSegmentsPerLine);
 }
 
@@ -27,13 +27,13 @@ DecoupledSet::find(Addr line) const
     return const_cast<DecoupledSet *>(this)->find(line);
 }
 
-void
+TagEntry &
 DecoupledSet::touch(Addr line)
 {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (it->valid && it->line == line) {
             std::rotate(entries_.begin(), it, it + 1);
-            return;
+            return entries_.front();
         }
     }
     cmpsim_panic("touch of absent line %#lx",
@@ -77,7 +77,7 @@ DecoupledSet::evictLruValid()
     cmpsim_panic("eviction from a set with no valid lines");
 }
 
-std::vector<TagEntry>
+EvictionList
 DecoupledSet::insert(const TagEntry &entry)
 {
     cmpsim_assert(entry.valid);
@@ -86,7 +86,7 @@ DecoupledSet::insert(const TagEntry &entry)
     cmpsim_assert(entry.segments <= segment_budget_);
     cmpsim_assert(find(entry.line) == nullptr);
 
-    std::vector<TagEntry> evicted;
+    EvictionList evicted;
 
     // Free data space.
     while (used_segments_ + entry.segments > segment_budget_)
@@ -120,14 +120,14 @@ DecoupledSet::insert(const TagEntry &entry)
     return evicted;
 }
 
-std::vector<TagEntry>
+EvictionList
 DecoupledSet::resize(Addr line, unsigned segments)
 {
     cmpsim_assert(segments >= 1 && segments <= kSegmentsPerLine);
     TagEntry *e = find(line);
     cmpsim_assert(e != nullptr);
 
-    std::vector<TagEntry> evicted;
+    EvictionList evicted;
     if (segments <= e->segments) {
         used_segments_ -= e->segments - segments;
         e->segments = static_cast<std::uint8_t>(segments);

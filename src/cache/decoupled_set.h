@@ -20,12 +20,50 @@
 #ifndef CMPSIM_CACHE_DECOUPLED_SET_H
 #define CMPSIM_CACHE_DECOUPLED_SET_H
 
+#include <cstddef>
 #include <vector>
 
 #include "src/cache/tag_entry.h"
 #include "src/common/log.h"
 
 namespace cmpsim {
+
+/** Most address tags one DecoupledSet may hold. */
+inline constexpr unsigned kMaxSetTags = 16;
+
+/**
+ * The entries one insert()/resize() evicted, in eviction order, held
+ * inline: only valid entries are evicted, so a set never evicts more
+ * than kMaxSetTags lines at once. Supports size(), indexing and
+ * range-for like the std::vector it replaces.
+ */
+class EvictionList
+{
+  public:
+    EvictionList() {} // leaves the entry storage uninitialized
+
+    std::size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    const TagEntry &operator[](std::size_t i) const { return items_[i]; }
+    const TagEntry *begin() const { return items_; }
+    const TagEntry *end() const { return items_ + count_; }
+
+    void
+    push_back(const TagEntry &e)
+    {
+        cmpsim_assert(count_ < kMaxSetTags, "eviction list overflow");
+        items_[count_++] = e;
+    }
+
+  private:
+    unsigned count_ = 0;
+    // Uninitialized until pushed; a union member is copied as raw
+    // bytes, so copying a list never reads the unused tail as values.
+    union
+    {
+        TagEntry items_[kMaxSetTags];
+    };
+};
 
 /**
  * One set: an LRU stack of tags over a shared segment pool.
@@ -43,7 +81,8 @@ class DecoupledSet
 {
   public:
     /**
-     * @param tags number of address tags (valid + victim)
+     * @param tags number of address tags (valid + victim), at most
+     *        kMaxSetTags
      * @param segment_budget data space in 8-byte segments
      */
     DecoupledSet(unsigned tags, unsigned segment_budget);
@@ -53,9 +92,10 @@ class DecoupledSet
     const TagEntry *find(Addr line) const;
 
     /** Move @p line's valid entry to the MRU position.
-     *  @warning invalidates every TagEntry pointer into this set
+     *  @return that entry, now at the MRU position.
+     *  @warning invalidates every other TagEntry pointer into this set
      *  (the LRU stack is reordered in place); re-find() after. */
-    void touch(Addr line);
+    TagEntry &touch(Addr line);
 
     /**
      * Insert @p entry (valid, with a segment count), evicting LRU
@@ -65,14 +105,14 @@ class DecoupledSet
      *         victim tag behind.
      * @pre no valid entry for entry.line exists in the set.
      */
-    std::vector<TagEntry> insert(const TagEntry &entry);
+    EvictionList insert(const TagEntry &entry);
 
     /**
      * Change the segment count of the valid entry for @p line (a
      * write changed its compressed size). May evict other LRU lines
      * to make room; never evicts @p line itself.
      */
-    std::vector<TagEntry> resize(Addr line, unsigned segments);
+    EvictionList resize(Addr line, unsigned segments);
 
     /**
      * Invalidate @p line's valid entry, leaving a victim tag.

@@ -12,10 +12,16 @@ L1Cache::L1Cache(EventQueue &eq, L2Cache &l2, unsigned cpu,
     : eq_(eq), l2_(l2), cpu_(cpu), params_(params),
       sets_(params.sets,
             DecoupledSet(params.ways + params.victim_tags,
-                         params.ways * kSegmentsPerLine))
+                         params.ways * kSegmentsPerLine)),
+      mshr_file_(params.mshrs)
 {
     cmpsim_assert(params.sets > 0 && params.ways > 0);
     cmpsim_assert(params.mshrs > params.prefetch_headroom);
+    // Room for the usual burst of coalesced accesses (up to 8 per miss
+    // on the commercial workloads), so the waiter vectors seldom grow
+    // once a run has started.
+    for (Mshr &m : mshr_file_)
+        m.waiters.reserve(8);
 }
 
 unsigned
@@ -27,11 +33,39 @@ L1Cache::allowedStartup() const
     return adaptive_ ? std::min(adaptive_->allowedStartup(), max) : max;
 }
 
+L1Cache::Mshr *
+L1Cache::findMshr(Addr line)
+{
+    for (Mshr &m : mshr_file_) {
+        if (m.line == line)
+            return &m;
+    }
+    return nullptr;
+}
+
+const L1Cache::Mshr *
+L1Cache::findMshr(Addr line) const
+{
+    return const_cast<L1Cache *>(this)->findMshr(line);
+}
+
+L1Cache::Mshr &
+L1Cache::allocMshr(Addr line, bool prefetch_only)
+{
+    Mshr *m = findMshr(kAddrInvalid);
+    cmpsim_assert(m != nullptr, "MSHR file full");
+    m->line = line;
+    m->prefetch_only = prefetch_only;
+    m->requested_exclusive = false;
+    ++mshrs_used_;
+    return *m;
+}
+
 bool
 L1Cache::canAccept(Addr addr) const
 {
-    const Addr line = lineAddr(addr);
-    return mshrs_.count(line) != 0 || mshrs_.size() < params_.mshrs;
+    return mshrs_used_ < params_.mshrs ||
+           findMshr(lineAddr(addr)) != nullptr;
 }
 
 void
@@ -62,8 +96,7 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
     if (e != nullptr) {
         if (e->prefetch)
             onPrefetchBitHit(*e, when);
-        set.touch(line); // invalidates e
-        e = set.find(line);
+        e = &set.touch(line);
         if (!is_write || e->dirty) {
             // Plain hit (read, or write to an M line).
             ++hits_;
@@ -100,21 +133,17 @@ L1Cache::demandMiss(Addr line, bool is_write, bool upgrade, Cycle when,
                     Done done)
 {
     (void)upgrade;
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end()) {
-        Mshr &m = it->second;
-        if (m.prefetch_only)
+    if (Mshr *m = findMshr(line)) {
+        if (m->prefetch_only)
             ++partial_hits_;
-        m.prefetch_only = false;
-        m.waiters.push_back(Waiter{is_write, std::move(done)});
+        m->prefetch_only = false;
+        m->waiters.push_back(Waiter{is_write, std::move(done)});
         return;
     }
 
-    Mshr m;
-    m.prefetch_only = false;
+    Mshr &m = allocMshr(line, /*prefetch_only=*/false);
     m.requested_exclusive = is_write;
     m.waiters.push_back(Waiter{is_write, std::move(done)});
-    mshrs_.emplace(line, std::move(m));
 
     requestFromL2(line, is_write, ReqType::Demand, when);
 }
@@ -124,18 +153,16 @@ L1Cache::prefetchLine(Addr line, Cycle when)
 {
     cmpsim_assert(line == lineAddr(line));
     if (sets_[setIndex(line)].find(line) != nullptr ||
-        mshrs_.count(line) != 0) {
+        findMshr(line) != nullptr) {
         ++pf_squashed_;
         return;
     }
-    if (mshrs_.size() + params_.prefetch_headroom >= params_.mshrs) {
+    if (mshrs_used_ + params_.prefetch_headroom >= params_.mshrs) {
         ++pf_dropped_;
         return;
     }
     ++pf_issued_;
-    Mshr m;
-    m.prefetch_only = true;
-    mshrs_.emplace(line, std::move(m));
+    allocMshr(line, /*prefetch_only=*/true);
     requestFromL2(line, false, ReqType::L1Prefetch, when);
 }
 
@@ -157,10 +184,12 @@ L1Cache::requestFromL2(Addr line, bool is_write, ReqType type, Cycle when)
 void
 L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
 {
-    auto it = mshrs_.find(line);
-    cmpsim_assert(it != mshrs_.end());
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    // Nothing below re-enters this MSHR file (victims and upgrades are
+    // atomic L2 actions; waiters are scheduled, not called), so the
+    // slot stays booked until its waiters are handed off.
+    Mshr *mp = findMshr(line);
+    cmpsim_assert(mp != nullptr);
+    Mshr &m = *mp;
 
     DecoupledSet &set = sets_[setIndex(line)];
     TagEntry *e = set.find(line);
@@ -199,6 +228,9 @@ L1Cache::fill(Addr line, Cycle at, bool exclusive, bool was_compressed)
         // always the direct path.
         scheduleDone(at, std::move(w.done));
     }
+    m.waiters.clear();
+    m.line = kAddrInvalid;
+    --mshrs_used_;
 }
 
 void
@@ -260,8 +292,7 @@ L1Cache::accessFunctionalImpl(Addr addr, bool is_write)
             // so a mid-run fast-forward never schedules into the past.
             onPrefetchBitHit(*e, eq_.now());
         }
-        set.touch(line); // invalidates e
-        e = set.find(line);
+        e = &set.touch(line);
         if (is_write && !e->dirty) {
             ++upgrades_;
             l2_.accessFunctional(cpu_, line, true, ReqType::Demand);
@@ -279,9 +310,9 @@ L1Cache::accessFunctionalImpl(Addr addr, bool is_write)
         adaptive_->onHarmfulPrefetch();
     }
 
-    std::vector<Addr> to_prefetch;
-    if (prefetcher_)
-        to_prefetch = prefetcher_->observeMiss(line, allowedStartup());
+    const PrefetchList to_prefetch =
+        prefetcher_ ? prefetcher_->observeMiss(line, allowedStartup())
+                    : PrefetchList{};
 
     l2_.accessFunctional(cpu_, line, is_write, ReqType::Demand);
 
@@ -378,9 +409,12 @@ L1Cache::registerAudits(InvariantRegistry &reg, const std::string &name)
     });
 
     reg.add(name + ".mshr_limit", [this](std::string &why) {
-        if (mshrs_.size() > params_.mshrs) {
-            why = auditFormat("%zu MSHRs allocated, limit %u",
-                              mshrs_.size(), params_.mshrs);
+        unsigned live = 0;
+        for (const Mshr &m : mshr_file_)
+            live += m.line != kAddrInvalid;
+        if (live != mshrs_used_ || live > params_.mshrs) {
+            why = auditFormat("%u MSHRs live, %u counted, limit %u",
+                              live, mshrs_used_, params_.mshrs);
             return false;
         }
         return true;

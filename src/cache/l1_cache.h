@@ -20,9 +20,7 @@
 #ifndef CMPSIM_CACHE_L1_CACHE_H
 #define CMPSIM_CACHE_L1_CACHE_H
 
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/decoupled_set.h"
@@ -32,6 +30,7 @@
 #include "src/prefetch/adaptive_controller.h"
 #include "src/prefetch/stride_prefetcher.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -59,8 +58,9 @@ struct L1Params
 class L1Cache
 {
   public:
-    /** Completion callback: cycle at which the access is done. */
-    using Done = std::function<void(Cycle)>;
+    /** Completion callback: cycle at which the access is done. The
+     *  core's continuations capture at most (this, ROB slot, id). */
+    using Done = InlineFunction<void(Cycle), 32>;
 
     L1Cache(EventQueue &eq, L2Cache &l2, unsigned cpu,
             const L1Params &params);
@@ -114,10 +114,7 @@ class L1Cache
     std::uint64_t prefetchesIssued() const { return pf_issued_.value(); }
     std::uint64_t prefetchHits() const { return pf_hits_.value(); }
     std::uint64_t decompAvoided() const { return decomp_avoided_.value(); }
-    std::uint64_t outstanding() const
-    {
-        return static_cast<std::uint64_t>(mshrs_.size());
-    }
+    std::uint64_t outstanding() const { return mshrs_used_; }
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
     void resetStats();
@@ -133,7 +130,7 @@ class L1Cache
     const DecoupledSet &setAt(unsigned index) const { return sets_[index]; }
 
   private:
-    friend class CheckpointCodec; // saves sets_, checks mshrs_ empty
+    friend class CheckpointCodec; // saves sets_, checks no MSHR is live
 
     struct Waiter
     {
@@ -141,12 +138,22 @@ class L1Cache
         Done done;
     };
 
+    /** One slot of the MSHR file; line == kAddrInvalid when free.
+     *  A freed slot keeps its waiter vector's capacity. */
     struct Mshr
     {
+        Addr line = kAddrInvalid;
         std::vector<Waiter> waiters;
         bool prefetch_only = true;
         bool requested_exclusive = false;
     };
+
+    /** The live MSHR for @p line, or nullptr. */
+    Mshr *findMshr(Addr line);
+    const Mshr *findMshr(Addr line) const;
+
+    /** Book a free slot for @p line. @pre outstanding() < mshrs. */
+    Mshr &allocMshr(Addr line, bool prefetch_only);
 
     unsigned
     setIndex(Addr line) const
@@ -182,7 +189,8 @@ class L1Cache
     unsigned cpu_;
     L1Params params_;
     std::vector<DecoupledSet> sets_;
-    std::unordered_map<Addr, Mshr> mshrs_;
+    std::vector<Mshr> mshr_file_; ///< fixed file of params.mshrs slots
+    unsigned mshrs_used_ = 0;
 
     StridePrefetcher *prefetcher_ = nullptr;
     AdaptivePrefetchController *adaptive_ = nullptr;

@@ -254,7 +254,7 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
                      {{"line", line}, {"cpu", std::uint64_t{cpu}}});
     }
 
-    Mshr m;
+    Mshr &m = allocMshr(line);
     m.prefetch_only = type != ReqType::Demand;
     m.pf_source = type == ReqType::L2Prefetch  ? PfSource::L2
                   : type == ReqType::L1Prefetch ? PfSource::L1
@@ -262,11 +262,23 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
     m.pf_cpu = cpu;
     if (done)
         m.waiters.push_back(Waiter{cpu, exclusive, type, std::move(done)});
-    mshrs_.emplace(line, std::move(m));
 
     memory_.fetchLine(line, when + params_.lookup_latency,
                       type != ReqType::Demand,
                       [this, line](Cycle arrival) { fill(line, arrival); });
+}
+
+L2Cache::Mshr &
+L2Cache::allocMshr(Addr line)
+{
+    if (spare_mshrs_.empty())
+        return mshrs_.try_emplace(line).first->second;
+    MshrNode node = std::move(spare_mshrs_.back());
+    spare_mshrs_.pop_back();
+    node.key() = line;
+    const auto ins = mshrs_.insert(std::move(node));
+    cmpsim_assert(ins.inserted);
+    return ins.position->second;
 }
 
 void
@@ -372,8 +384,8 @@ L2Cache::fill(Addr line, Cycle arrival)
     traceInstant("l2.fill", arrival, {{"line", line}});
     auto it = mshrs_.find(line);
     cmpsim_assert(it != mshrs_.end());
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    MshrNode node = mshrs_.extract(it);
+    Mshr &m = node.mapped();
 
     if (m.pf_source == PfSource::L2) {
         cmpsim_assert(pf_outstanding_[m.pf_cpu] > 0);
@@ -434,6 +446,8 @@ L2Cache::fill(Addr line, Cycle arrival)
               arrival + (penalized ? params_.decompression_latency : 0),
               penalized, w.done);
     }
+    m.waiters.clear();
+    spare_mshrs_.push_back(std::move(node));
 }
 
 void
@@ -581,8 +595,7 @@ L2Cache::accessFunctional(unsigned cpu, Addr line, bool exclusive,
             if (e->prefetch)
                 onPrefetchBitHit(cpu, *e, eq_.now());
         }
-        set.touch(line); // invalidates e
-        e = set.find(line);
+        e = &set.touch(line);
         if (exclusive) {
             for (unsigned c = 0; c < params_.cores; ++c) {
                 if (c != cpu && e->hasSharer(c) && l1_invalidate_)

@@ -49,6 +49,7 @@
 #include "src/prefetch/stride_prefetcher.h"
 #include "src/sim/bandwidth_resource.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -114,8 +115,9 @@ class L2Cache
      * @param Cycle the cycle data is at the L1
      * @param bool exclusive permission granted
      * @param bool the line was compressed in the L2 (penalty paid)
+     * The L1's fill continuation captures (this, line).
      */
-    using Done = std::function<void(Cycle, bool, bool)>;
+    using Done = InlineFunction<void(Cycle, bool, bool), 32>;
 
     /** Inclusion hook: invalidate @p line in L1 @p cpu; returns true
      *  when the L1 copy was dirty. */
@@ -258,6 +260,10 @@ class L2Cache
         unsigned pf_cpu = 0; ///< for the prefetch-outstanding budget
     };
 
+    /** A map entry for @p line, reusing a spare node when one exists
+     *  (the caller sets every Mshr field). @pre no entry for line. */
+    Mshr &allocMshr(Addr line);
+
     unsigned
     setIndex(Addr line) const
     {
@@ -313,7 +319,13 @@ class L2Cache
     std::vector<Cycle> bank_free_;
     BandwidthResource onchip_;
 
+    /** In-flight fetches. Unbounded (hundreds live on commercial
+     *  workloads), so a map rather than a scanned file; filled
+     *  entries are extracted into spare_mshrs_ and their nodes (and
+     *  waiter vectors) reinserted for later misses. */
     std::unordered_map<Addr, Mshr> mshrs_;
+    using MshrNode = decltype(mshrs_)::node_type;
+    std::vector<MshrNode> spare_mshrs_;
     std::vector<unsigned> pf_outstanding_; // per core
 
     std::vector<StridePrefetcher *> prefetchers_;

@@ -933,7 +933,7 @@ CheckpointCodec::pendingWork() const
 {
     std::uint64_t mshrs = sys_.l2_->mshrs_.size();
     for (unsigned c = 0; c < sys_.config_.cores; ++c)
-        mshrs += sys_.l1i_[c]->mshrs_.size() + sys_.l1d_[c]->mshrs_.size();
+        mshrs += sys_.l1i_[c]->outstanding() + sys_.l1d_[c]->outstanding();
     const PriorityLink &link = sys_.memory_->link();
     std::uint64_t messages = link.busy_ ? 1 : 0;
     for (const auto &q : link.queues_)

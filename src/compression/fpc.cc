@@ -75,12 +75,10 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
     if (out)
         out->clear();
 
-    // First pass: compute the encoded size (and optionally emit).
+    // One pass computes the encoded size and, when @p out is given,
+    // emits the stream; a size-only call builds nothing.
     // Zero runs of up to 8 words share one (prefix, length) tuple.
     unsigned bits = 0;
-    BitStream local;
-    BitStream *bs = out ? out : &local;
-    const bool emit = true; // always build; cheap relative to lookup
 
     unsigned i = 0;
     while (i < kWordsPerLine) {
@@ -93,9 +91,9 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
                 ++run;
             }
             bits += 3 + 3;
-            if (emit) {
-                bs->put(ZeroRun, 3);
-                bs->put(run - 1, 3);
+            if (out) {
+                out->put(ZeroRun, 3);
+                out->put(run - 1, 3);
             }
             i += run;
             continue;
@@ -103,8 +101,8 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
 
         const unsigned db = dataBits(p);
         bits += 3 + db;
-        if (emit) {
-            bs->put(p, 3);
+        if (out) {
+            out->put(p, 3);
             std::uint64_t payload = 0;
             switch (p) {
               case Se4:
@@ -126,7 +124,7 @@ FpcCompressor::compress(const LineData &line, BitStream *out) const
               case ZeroRun:
                 break; // handled above
             }
-            bs->put(payload, db);
+            out->put(payload, db);
         }
         ++i;
     }

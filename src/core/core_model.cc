@@ -145,7 +145,7 @@ CoreModel::dispatchOne(Cycle now)
 
     e.id = id;
     ++next_rob_id_;
-    rob_tail_ = (rob_tail_ + 1) % params_.rob_entries;
+    rob_tail_ = robNext(rob_tail_);
     ++rob_count_;
     have_pending_ = false;
     return true;
@@ -220,7 +220,7 @@ CoreModel::tick(Cycle now)
         if (!head.completed(now))
             break;
         head.id = ~head.id; // poison stale completion callbacks
-        rob_head_ = (rob_head_ + 1) % params_.rob_entries;
+        rob_head_ = robNext(rob_head_);
         --rob_count_;
         ++retired_;
         progress = true;
@@ -270,7 +270,7 @@ CoreModel::tick(Cycle now)
         const Cycle d = rob_[idx].done_at;
         if (d != kCycleNever && d > now)
             nw = std::min(nw, d);
-        idx = (idx + 1) % params_.rob_entries;
+        idx = robNext(idx);
     }
     if (fetch_stall_until_ != kCycleNever && fetch_stall_until_ > now)
         nw = std::min(nw, fetch_stall_until_);

@@ -21,11 +21,11 @@
 #ifndef CMPSIM_CORE_CORE_MODEL_H
 #define CMPSIM_CORE_CORE_MODEL_H
 
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "src/cache/l1_cache.h"
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/core/instruction.h"
 #include "src/mem/value_store.h"
@@ -126,6 +126,13 @@ class CoreModel
     /** Handle the instruction-fetch side of dispatching @p pc. */
     bool fetchAvailable(Addr pc, Cycle now);
 
+    /** The ROB slot after @p i (wrap-around, no division). */
+    unsigned
+    robNext(unsigned i) const
+    {
+        return i + 1 == params_.rob_entries ? 0 : i + 1;
+    }
+
     void
     wake(Cycle c)
     {
@@ -159,7 +166,7 @@ class CoreModel
         unsigned slot;
         std::uint64_t id;
     };
-    std::deque<ChainedAccess> chain_queue_;
+    RingQueue<ChainedAccess> chain_queue_;
     bool chain_outstanding_ = false;
 
     /** Issue the next queued chained access, if any. */

@@ -45,10 +45,20 @@ SystemConfig::validate() const
     }
     if (l1.mshrs == 0)
         reject("config.l1", "zero L1 MSHRs");
+    if (l1.ways + l1.victim_tags > kMaxSetTags) {
+        reject("config.l1", std::to_string(l1.ways + l1.victim_tags) +
+                                " L1 tags per set (ways + victim tags), "
+                                "limit " + std::to_string(kMaxSetTags));
+    }
 
     const L2Params l2 = l2Params();
     if (l2.tags_per_set == 0)
         reject("config.l2", "zero L2 tags per set");
+    if (l2.tags_per_set > kMaxSetTags) {
+        reject("config.l2", std::to_string(l2.tags_per_set) +
+                                " L2 tags per set, limit " +
+                                std::to_string(kMaxSetTags));
+    }
     if (!isPowerOfTwo(l2.sets)) {
         reject("config.l2", "non-power-of-two L2 set count " +
                                 std::to_string(l2.sets) + " (scale " +
@@ -81,6 +91,13 @@ SystemConfig::validate() const
                        " bytes/cycle derived from " +
                        std::to_string(pin_bandwidth_gbps) + " GB/s");
         }
+    }
+
+    if (l1_startup_prefetches > kMaxStartupPrefetches ||
+        l2_startup_prefetches > kMaxStartupPrefetches) {
+        reject("config.prefetch",
+               "startup prefetches per stream must be at most " +
+                   std::to_string(kMaxStartupPrefetches));
     }
 
     // DRAM knobs must always be arm-able, whichever backend is

@@ -93,7 +93,7 @@ DramBackend::wake(unsigned ci, Cycle at)
 }
 
 bool
-DramBackend::select(const Channel &ch, const std::deque<Request> &q,
+DramBackend::select(const Channel &ch, const RingQueue<Request> &q,
                     Cycle now, std::size_t &index) const
 {
     using Key = std::tuple<unsigned, unsigned, std::uint64_t>;
@@ -217,9 +217,9 @@ DramBackend::pump(unsigned ci)
         return;
     }
 
-    std::deque<Request> &q = is_write ? ch.writes : ch.reads;
+    RingQueue<Request> &q = is_write ? ch.writes : ch.reads;
     Request r = std::move(q[idx]);
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(idx));
+    q.erase(idx);
     --ch.banks[r.bank].pending;
 
     // Row outcome must be read before service() rotates the bank's

@@ -50,15 +50,16 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/dram/dram_params.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -68,7 +69,9 @@ class InvariantRegistry;
 class DramBackend
 {
   public:
-    using Done = std::function<void(Cycle)>;
+    /** Read completion; MainMemory's carries its FetchCallback plus
+     *  the request cycle, link class and segment count. */
+    using Done = InlineFunction<void(Cycle), 64>;
 
     /** Read-service observer: (line, service_start, done_at, row_hit).
      *  Runs when a read is issued to its bank (serial event context);
@@ -165,8 +168,8 @@ class DramBackend
     struct Channel
     {
         std::vector<Bank> banks;
-        std::deque<Request> reads;
-        std::deque<Request> writes;
+        RingQueue<Request> reads;
+        RingQueue<Request> writes;
         bool busy = false;     ///< an access (or refresh) is in service
         bool draining = false; ///< write-drain mode latched
         Cycle next_refresh = 0;
@@ -180,7 +183,7 @@ class DramBackend
     /** Pick the next request index from @p q per the scheduling
      *  policy (bank row state read from @p ch); returns false when
      *  nothing has arrived by @p now. */
-    bool select(const Channel &ch, const std::deque<Request> &q,
+    bool select(const Channel &ch, const RingQueue<Request> &q,
                 Cycle now, std::size_t &index) const;
 
     /** Issue @p r on its bank starting no earlier than @p now;

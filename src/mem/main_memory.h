@@ -16,7 +16,6 @@
 #ifndef CMPSIM_MEM_MAIN_MEMORY_H
 #define CMPSIM_MEM_MAIN_MEMORY_H
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -26,6 +25,7 @@
 #include "src/mem/priority_link.h"
 #include "src/mem/value_store.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -57,7 +57,8 @@ struct MemoryParams
 class MainMemory
 {
   public:
-    using FetchCallback = std::function<void(Cycle)>;
+    /** Fill continuation; the L2's captures (this, line). */
+    using FetchCallback = InlineFunction<void(Cycle), 32>;
 
     MainMemory(EventQueue &eq, ValueStore &values,
                const MemoryParams &params);

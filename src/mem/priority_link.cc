@@ -88,11 +88,11 @@ PriorityLink::pump()
     // write buffer gets promoted: real controllers must drain
     // writebacks before the buffer backs up into the cache.
     constexpr std::size_t kWbHighWater = 16;
-    std::deque<Message> *queue = nullptr;
+    RingQueue<Message> *queue = nullptr;
     std::size_t index = 0;
     Cycle earliest_future = kCycleNever;
 
-    auto scan = [&](std::deque<Message> &q) {
+    auto scan = [&](RingQueue<Message> &q) {
         for (std::size_t i = 0; i < q.size(); ++i) {
             if (q[i].ready <= now) {
                 queue = &q;
@@ -121,7 +121,7 @@ PriorityLink::pump()
     }
 
     Message msg = std::move((*queue)[index]);
-    queue->erase(queue->begin() + static_cast<std::ptrdiff_t>(index));
+    queue->erase(index);
 
     queue_delay_.sample(static_cast<double>(now - msg.ready));
     queue_delay_hist_.sample(static_cast<double>(now - msg.ready));
@@ -133,11 +133,13 @@ PriorityLink::pump()
 
     busy_ = true;
     inflight_bytes_ = msg.bytes;
-    eq_.schedule(done, [this, deliver = std::move(msg.deliver), done,
-                        bytes = msg.bytes] {
+    inflight_deliver_ = std::move(msg.deliver);
+    eq_.schedule(done, [this, done] {
         busy_ = false;
+        delivered_bytes_ += inflight_bytes_;
         inflight_bytes_ = 0;
-        delivered_bytes_ += bytes;
+        // Taken out first: the pump() below refills the member.
+        const Deliver deliver = std::move(inflight_deliver_);
         if (deliver)
             deliver(done);
         pump();

@@ -19,13 +19,13 @@
 #define CMPSIM_MEM_PRIORITY_LINK_H
 
 #include <array>
-#include <deque>
-#include <functional>
 #include <string>
 
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -43,7 +43,12 @@ inline constexpr unsigned kLinkClasses = 3;
 class PriorityLink
 {
   public:
-    using Deliver = std::function<void(Cycle)>;
+    /**
+     * Delivery continuation. The largest is MainMemory's request
+     * leg, which carries a whole MainMemory::FetchCallback plus the
+     * line, request cycle and link class.
+     */
+    using Deliver = InlineFunction<void(Cycle), 72>;
 
     /**
      * @param bytes_per_cycle pin rate (20 GB/s @ 5 GHz = 4)
@@ -119,8 +124,9 @@ class PriorityLink
     double rate_;
     bool infinite_;
 
-    std::array<std::deque<Message>, kLinkClasses> queues_;
+    std::array<RingQueue<Message>, kLinkClasses> queues_;
     bool busy_ = false;
+    Deliver inflight_deliver_; ///< continuation of the message on the wire
     double cursor_ = 0.0; ///< fractional end of the last transmission
 
     Counter total_bytes_;

@@ -167,6 +167,14 @@ class ValueStore
 
     std::size_t lineCount() const { return size_; }
 
+    /**
+     * Heap allocations the store has made growing its arena and index
+     * (monotonic). They follow the workload's footprint — one arena
+     * chunk per 4096 first-touched lines plus index doublings — and
+     * are the only allocations a steady-state detailed run makes.
+     */
+    std::uint64_t growthAllocations() const { return growth_allocs_; }
+
     /** Every line address with a value, ascending. The index's slot
      *  order is hash order, so this is its only enumeration. */
     std::vector<Addr>
@@ -266,7 +274,9 @@ class ValueStore
         if ((index & (kChunkEntries - 1)) == 0) {
             // Default-initialized: pages are touched only as entries
             // are claimed, so a fresh chunk costs no resident memory.
+            const std::size_t cap = chunks_.capacity();
             chunks_.emplace_back(new Entry[kChunkEntries]);
+            growth_allocs_ += chunks_.capacity() != cap ? 2 : 1;
         }
         keys_[slot] = line;
         slots_[slot] = index;
@@ -283,6 +293,7 @@ class ValueStore
         const std::size_t n = std::size_t{1} << log2;
         keys_.reset(new Addr[n]);
         slots_.reset(new std::uint32_t[n]);
+        growth_allocs_ += 2;
         std::fill(keys_.get(), keys_.get() + n, kNoLine);
         mask_ = n - 1;
         shift_ = 64 - log2;
@@ -315,6 +326,7 @@ class ValueStore
     bool journaling_ = false;
     std::vector<Op> journal_;
     unsigned zero_segments_ = 0;
+    std::uint64_t growth_allocs_ = 0;
 };
 
 } // namespace cmpsim

@@ -17,6 +17,7 @@ StridePrefetcher::StridePrefetcher(const PrefetcherParams &params)
     cmpsim_assert(params.filter_entries > 0);
     cmpsim_assert(params.stream_entries > 0);
     cmpsim_assert(params.train_count >= 2);
+    cmpsim_assert(params.startup_prefetches <= kMaxStartupPrefetches);
 }
 
 StridePrefetcher::FilterEntry *
@@ -61,7 +62,7 @@ StridePrefetcher::samePage(std::int64_t a, std::int64_t b) const
            static_cast<std::uint64_t>(b) / params_.page_lines;
 }
 
-std::vector<Addr>
+PrefetchList
 StridePrefetcher::allocStream(std::int64_t line, std::int64_t stride,
                               unsigned startup_limit)
 {
@@ -85,8 +86,7 @@ StridePrefetcher::allocStream(std::int64_t line, std::int64_t stride,
     victim->stride = stride;
     victim->lru = tick_;
 
-    std::vector<Addr> out;
-    out.reserve(n);
+    PrefetchList out;
     for (unsigned i = 1; i <= n; ++i) {
         const std::int64_t l = line + stride * static_cast<int>(i);
         if (l < 0 || !samePage(line, l))
@@ -132,7 +132,7 @@ StridePrefetcher::findStream(std::int64_t line)
     return nullptr;
 }
 
-std::vector<Addr>
+PrefetchList
 StridePrefetcher::advanceStream(StreamEntry &stream, std::int64_t line,
                                 unsigned startup_limit)
 {
@@ -147,7 +147,7 @@ StridePrefetcher::advanceStream(StreamEntry &stream, std::int64_t line,
         return {};
     }
     ++stream_advances_;
-    std::vector<Addr> out;
+    PrefetchList out;
     // The demand head moved; keep the prefetch head a bounded
     // distance in front of it (the startup depth), as the Power4
     // ramping scheme does.
@@ -162,7 +162,7 @@ StridePrefetcher::advanceStream(StreamEntry &stream, std::int64_t line,
     return out;
 }
 
-std::vector<Addr>
+PrefetchList
 StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
 {
     ++tick_;
@@ -180,7 +180,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
         if (++e->count >= params_.train_count) {
             e->valid = false;
             return startup_limit ? allocStream(line, +1, startup_limit)
-                                 : std::vector<Addr>{};
+                                 : PrefetchList{};
         }
         return {};
     }
@@ -192,7 +192,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
         if (++e->count >= params_.train_count) {
             e->valid = false;
             return startup_limit ? allocStream(line, -1, startup_limit)
-                                 : std::vector<Addr>{};
+                                 : PrefetchList{};
         }
         return {};
     }
@@ -206,7 +206,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
             e->valid = false;
             return startup_limit
                        ? allocStream(line, stride, startup_limit)
-                       : std::vector<Addr>{};
+                       : PrefetchList{};
         }
         return {};
     }
@@ -229,7 +229,7 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
     return {};
 }
 
-std::vector<Addr>
+PrefetchList
 StridePrefetcher::observeUse(Addr line_addr, unsigned startup_limit)
 {
     ++tick_;

@@ -21,15 +21,55 @@
 #ifndef CMPSIM_PREFETCH_STRIDE_PREFETCHER_H
 #define CMPSIM_PREFETCH_STRIDE_PREFETCHER_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
+#include "src/common/log.h"
+#include "src/common/ring_queue.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 
 namespace cmpsim {
+
+/** Largest startup burst a prefetcher may be configured with. */
+inline constexpr unsigned kMaxStartupPrefetches = 32;
+
+/**
+ * Line addresses one observeMiss()/observeUse() asks to prefetch,
+ * held inline (a call emits at most one startup burst). Supports
+ * size(), indexing and range-for like the std::vector it replaces.
+ */
+class PrefetchList
+{
+  public:
+    PrefetchList() {} // leaves the address storage uninitialized
+
+    std::size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    Addr operator[](std::size_t i) const { return items_[i]; }
+    Addr back() const { return items_[count_ - 1]; }
+    const Addr *begin() const { return items_; }
+    const Addr *end() const { return items_ + count_; }
+
+    void
+    push_back(Addr a)
+    {
+        cmpsim_assert(count_ < kMaxStartupPrefetches,
+                      "prefetch list overflow");
+        items_[count_++] = a;
+    }
+
+  private:
+    unsigned count_ = 0;
+    // A union member is copied as raw bytes, so copying a list never
+    // reads the unused tail as values.
+    union
+    {
+        Addr items_[kMaxStartupPrefetches];
+    };
+};
 
 /** Static configuration of one prefetcher instance. */
 struct PrefetcherParams
@@ -43,7 +83,8 @@ struct PrefetcherParams
     /** Fixed-stride misses required to allocate a stream. */
     unsigned train_count = 4;
 
-    /** Startup prefetches per new stream (6 for L1, 25 for L2). */
+    /** Startup prefetches per new stream (6 for L1, 25 for L2); at
+     *  most kMaxStartupPrefetches. */
     unsigned startup_prefetches = 6;
 
     /** Largest |stride| (in lines) the non-unit table learns. */
@@ -71,14 +112,14 @@ class StridePrefetcher
      *        0 disables stream allocation and prefetch issue.
      * @return line addresses to prefetch now.
      */
-    std::vector<Addr> observeMiss(Addr line_addr, unsigned startup_limit);
+    PrefetchList observeMiss(Addr line_addr, unsigned startup_limit);
 
     /**
      * Observe the first demand use of a prefetched block (a "prefetch
      * hit"); the owning stream advances one line.
      * @return line addresses to prefetch now.
      */
-    std::vector<Addr> observeUse(Addr line_addr, unsigned startup_limit);
+    PrefetchList observeUse(Addr line_addr, unsigned startup_limit);
 
     const PrefetcherParams &params() const { return params_; }
 
@@ -132,8 +173,8 @@ class StridePrefetcher
                      std::int64_t stride, unsigned count);
 
     /** Allocate a stream and emit its startup burst. */
-    std::vector<Addr> allocStream(std::int64_t line, std::int64_t stride,
-                                  unsigned startup_limit);
+    PrefetchList allocStream(std::int64_t line, std::int64_t stride,
+                             unsigned startup_limit);
 
     /** Find the stream whose window covers @p line, or nullptr. */
     StreamEntry *findStream(std::int64_t line);
@@ -142,16 +183,15 @@ class StridePrefetcher
     bool samePage(std::int64_t a, std::int64_t b) const;
 
     /** Advance @p stream past demand @p line; maybe prefetch. */
-    std::vector<Addr> advanceStream(StreamEntry &stream,
-                                    std::int64_t line,
-                                    unsigned startup_limit);
+    PrefetchList advanceStream(StreamEntry &stream, std::int64_t line,
+                               unsigned startup_limit);
 
     PrefetcherParams params_;
     FilterTable pos_unit_;
     FilterTable neg_unit_;
     FilterTable non_unit_;
     std::vector<StreamEntry> streams_;
-    std::deque<std::int64_t> recent_misses_;
+    RingQueue<std::int64_t> recent_misses_;
     std::uint64_t tick_ = 0;
 
     Counter streams_alloc_;

@@ -10,11 +10,18 @@
  * Implementation notes (hot path — this queue executes every timed
  * cache/link/memory transaction in the simulator):
  *
- *  - The pending set is an intrusive binary min-heap over a
- *    std::vector<Event>, ordered by (when, seq). Unlike
- *    std::priority_queue, popping *moves* the Event (and its
- *    heap-allocated std::function) out of the root, and the sift-down
- *    uses moves throughout — no callback is ever copied.
+ *  - Ordering works on 24-byte keys {when, seq, slot}: an intrusive
+ *    binary min-heap over a std::vector<Key> ordered by (when, seq),
+ *    plus a same-cycle FIFO of keys (below). Sifting moves keys only;
+ *    callbacks never move once scheduled.
+ *
+ *  - Callbacks live in a chunked slab of fixed-capacity
+ *    InlineFunction slots with a LIFO free list. schedule() builds the
+ *    callable directly in a free slot; dispatch runs it in place and
+ *    then recycles the slot. Chunks never move, so a callback may
+ *    schedule any number of events (growing the slab) while it runs.
+ *    Once the slab and the key vectors have reached the run's
+ *    high-water mark, scheduling and dispatch allocate nothing.
  *
  *  - Same-cycle fast path: while an event at cycle T executes,
  *    continuations it schedules back at cycle T are appended to a
@@ -29,13 +36,14 @@
 #define CMPSIM_SIM_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/log.h"
 #include "src/common/types.h"
 #include "src/obs/profiler.h"
+#include "src/sim/inline_function.h"
 
 namespace cmpsim {
 
@@ -43,38 +51,56 @@ namespace cmpsim {
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * Capture budget of one event. The largest continuation in the
+     * simulator is an infinite-bandwidth link delivery, which carries
+     * a whole PriorityLink::Deliver (itself holding a MainMemory fetch
+     * continuation that holds an L2 fill callback) plus its cycle.
+     */
+    static constexpr std::size_t kCallbackCapacity = 88;
+    using Callback = InlineFunction<void(), kCallbackCapacity>;
 
     /** Current simulated cycle. */
     Cycle now() const { return now_; }
 
     /**
      * Pre-size the pending-event storage for @p events outstanding
-     * events so the heap never reallocates mid-run (the caller bounds
-     * in-flight continuations, e.g. cores x ROB entries).
+     * events so neither the keys nor the slab grow mid-run (the
+     * caller bounds in-flight continuations, e.g. cores x ROB
+     * entries).
      */
     void
     reserve(std::size_t events)
     {
         heap_.reserve(events);
         same_cycle_.reserve(events);
+        while (slotCount() < events)
+            addChunk();
     }
 
-    /** Schedule @p cb at @p when. @pre when >= now(). */
+    /**
+     * Schedule @p cb at @p when. @p cb is any callable (or a
+     * Callback); it is built directly in its slab slot.
+     * @pre when >= now().
+     */
+    template <typename F>
     void
-    schedule(Cycle when, Callback cb)
+    schedule(Cycle when, F &&cb)
     {
         cmpsim_assert(when >= now_,
                       "schedule into the past: when=%llu now=%llu",
                       static_cast<unsigned long long>(when),
                       static_cast<unsigned long long>(now_));
+        const std::uint32_t slot = allocSlot();
+        slotAt(slot).emplace(std::forward<F>(cb));
+        const Key key{when, seq_++, slot};
         if (when == now_) {
             // Same-cycle continuation: newest seq by construction, so
             // FIFO append order is (when, seq) order.
-            same_cycle_.push_back(Event{when, seq_++, std::move(cb)});
+            same_cycle_.push_back(key);
             return;
         }
-        heap_.push_back(Event{when, seq_++, std::move(cb)});
+        heap_.push_back(key);
         siftUp(heap_.size() - 1);
     }
 
@@ -112,18 +138,14 @@ class EventQueue
         const bool fifo = same_head_ < same_cycle_.size();
         if (fifo && (heap_.empty() ||
                      same_cycle_[same_head_].before(heap_.front()))) {
-            Event ev = std::move(same_cycle_[same_head_++]);
-            if (same_head_ == same_cycle_.size()) {
-                same_cycle_.clear();
-                same_head_ = 0;
-            }
-            now_ = ev.when;
-            ev.cb();
+            const Key key = popFifo();
+            now_ = key.when;
+            dispatch(key.slot);
             return;
         }
-        Event ev = popHeap();
-        now_ = ev.when;
-        ev.cb();
+        const Key key = popHeap();
+        now_ = key.when;
+        dispatch(key.slot);
     }
 
     /**
@@ -156,18 +178,67 @@ class EventQueue
   private:
     friend class CheckpointCodec; // saves/restores now_ and seq_
 
-    struct Event
+    struct Key
     {
         Cycle when;
         std::uint64_t seq;
-        Callback cb;
+        std::uint32_t slot; ///< index of the callback in the slab
 
         bool
-        before(const Event &o) const
+        before(const Key &o) const
         {
             return when != o.when ? when < o.when : seq < o.seq;
         }
     };
+
+    /** Slab chunk size in slots (a power of two). */
+    static constexpr std::uint32_t kChunkShift = 8;
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+
+    std::size_t
+    slotCount() const
+    {
+        return chunks_.size() * kChunkSlots;
+    }
+
+    Callback &
+    slotAt(std::uint32_t slot)
+    {
+        return chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
+    }
+
+    void
+    addChunk()
+    {
+        const auto base = static_cast<std::uint32_t>(slotCount());
+        chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
+        free_.reserve(slotCount());
+        // Push in reverse so the lowest new slot is handed out first.
+        for (std::uint32_t i = kChunkSlots; i-- > 0;)
+            free_.push_back(base + i);
+    }
+
+    std::uint32_t
+    allocSlot()
+    {
+        if (free_.empty())
+            addChunk();
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        return slot;
+    }
+
+    /** Run the callback in @p slot in place, then recycle the slot.
+     *  The slot stays allocated while the callback runs, so events it
+     *  schedules can never land on it. */
+    void
+    dispatch(std::uint32_t slot)
+    {
+        Callback &cb = slotAt(slot);
+        cb();
+        cb.reset();
+        free_.push_back(slot);
+    }
 
     /**
      * Run every due event: heap entries with when <= @p limit plus
@@ -193,19 +264,13 @@ class EventQueue
                 // Pending heap entry at the current cycle: scheduled
                 // before now() reached it, so older than anything in
                 // the FIFO — must run first.
-                Event ev = popHeap();
-                ev.cb();
+                dispatch(popHeap().slot);
             } else if (now_due && same_head_ < same_cycle_.size()) {
-                Event ev = std::move(same_cycle_[same_head_++]);
-                if (same_head_ == same_cycle_.size()) {
-                    same_cycle_.clear();
-                    same_head_ = 0;
-                }
-                ev.cb();
+                dispatch(popFifo().slot);
             } else if (!heap_.empty() && heap_.front().when <= limit) {
-                Event ev = popHeap();
-                now_ = ev.when;
-                ev.cb();
+                const Key key = popHeap();
+                now_ = key.when;
+                dispatch(key.slot);
             } else {
                 break;
             }
@@ -214,13 +279,24 @@ class EventQueue
         return executed;
     }
 
-    /** Move the root out and restore the heap property with moves. */
-    Event
+    Key
+    popFifo()
+    {
+        const Key key = same_cycle_[same_head_++];
+        if (same_head_ == same_cycle_.size()) {
+            same_cycle_.clear();
+            same_head_ = 0;
+        }
+        return key;
+    }
+
+    /** Take the root and restore the heap property. */
+    Key
     popHeap()
     {
-        Event top = std::move(heap_.front());
+        const Key top = heap_.front();
         if (heap_.size() > 1) {
-            heap_.front() = std::move(heap_.back());
+            heap_.front() = heap_.back();
             heap_.pop_back();
             siftDown(0);
         } else {
@@ -232,41 +308,46 @@ class EventQueue
     void
     siftUp(std::size_t i)
     {
-        Event ev = std::move(heap_[i]);
+        const Key key = heap_[i];
         while (i > 0) {
             const std::size_t parent = (i - 1) / 2;
-            if (!ev.before(heap_[parent]))
+            if (!key.before(heap_[parent]))
                 break;
-            heap_[i] = std::move(heap_[parent]);
+            heap_[i] = heap_[parent];
             i = parent;
         }
-        heap_[i] = std::move(ev);
+        heap_[i] = key;
     }
 
     void
     siftDown(std::size_t i)
     {
         const std::size_t n = heap_.size();
-        Event ev = std::move(heap_[i]);
+        const Key key = heap_[i];
         while (true) {
             std::size_t child = 2 * i + 1;
             if (child >= n)
                 break;
             if (child + 1 < n && heap_[child + 1].before(heap_[child]))
                 ++child;
-            if (!heap_[child].before(ev))
+            if (!heap_[child].before(key))
                 break;
-            heap_[i] = std::move(heap_[child]);
+            heap_[i] = heap_[child];
             i = child;
         }
-        heap_[i] = std::move(ev);
+        heap_[i] = key;
     }
 
-    std::vector<Event> heap_;       ///< binary min-heap by (when, seq)
-    std::vector<Event> same_cycle_; ///< FIFO of events at now()
-    std::size_t same_head_ = 0;     ///< first unconsumed FIFO slot
+    std::vector<Key> heap_;       ///< binary min-heap by (when, seq)
+    std::vector<Key> same_cycle_; ///< FIFO of events at now()
+    std::size_t same_head_ = 0;   ///< first unconsumed FIFO slot
     Cycle now_ = 0;
-    std::uint64_t seq_ = 0;         ///< next sequence number
+    std::uint64_t seq_ = 0;       ///< next sequence number
+
+    /** Callback slab: fixed-size chunks that never move; destroying
+     *  them destroys every still-pending callback exactly once. */
+    std::vector<std::unique_ptr<Callback[]>> chunks_;
+    std::vector<std::uint32_t> free_; ///< free slots, LIFO
 };
 
 } // namespace cmpsim

@@ -4,6 +4,11 @@
 
 namespace cmpsim {
 
+namespace {
+/** Recently streamed arrays remembered for stream_reuse. */
+constexpr std::size_t kRecentBases = 16;
+} // namespace
+
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
                                      ValueStore &values, unsigned cpu,
                                      std::uint64_t seed)
@@ -19,6 +24,7 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
     cmpsim_assert(!params.stride_bytes.empty());
     cmpsim_assert(params.stream_len_min > 0 &&
                   params.stream_len_min <= params.stream_len_max);
+    recent_bases_.reserve(kRecentBases + 1);
     for (auto &s : streams_)
         resetStream(s);
 
@@ -148,7 +154,7 @@ SyntheticWorkload::resetStream(Stream &s)
     } else {
         start = stream_base + rng_.below(max_start) * kLineBytes;
         recent_bases_.push_back(start);
-        if (recent_bases_.size() > 16)
+        if (recent_bases_.size() > kRecentBases)
             recent_bases_.erase(recent_bases_.begin());
     }
     if (s.stride < 0)

@@ -217,6 +217,36 @@ TEST(TagEntryTest, QuietOnReFindIdiom)
     EXPECT_TRUE(where(r, "tagentry-stale").empty());
 }
 
+TEST(TagEntryTest, QuietWhenTheReorderingCallRebinds)
+{
+    // touch() returns the entry it moved to MRU, so binding its result
+    // is a re-find in one scan.
+    const auto r = analyze(
+        {{"src/cache/good.cc",
+          "void f(Set &set) {\n"
+          "    TagEntry *e = set.find(line);\n"
+          "    e = &set.touch(line);\n"
+          "    e->dirty = true;\n"
+          "}\n"}});
+    EXPECT_TRUE(where(r, "tagentry-stale").empty());
+}
+
+TEST(TagEntryTest, RebindingCallStillStalesOtherBindings)
+{
+    const auto r = analyze(
+        {{"src/cache/bad.cc",
+          "void f(Set &set) {\n"
+          "    TagEntry *p = set.find(a);\n"
+          "    TagEntry *e = set.find(line);\n"
+          "    e = &set.touch(line);\n"
+          "    e->dirty = true;\n"
+          "    p->dirty = true;\n"
+          "}\n"}});
+    const auto hits = where(r, "tagentry-stale");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0], "src/cache/bad.cc:6");
+}
+
 TEST(TagEntryTest, ComparisonIsNotAReassignment)
 {
     // `e == nullptr` must not freshen the binding: only `e = ...`

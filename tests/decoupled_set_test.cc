@@ -288,9 +288,12 @@ expectSameTag(const TagEntry &a, const TagEntry &b, const char *what)
     EXPECT_EQ(a.owner, b.owner) << what;
 }
 
+/** @p a is the real set's list (EvictionList or tag stack), @p b the
+ *  reference model's vector. */
+template <typename List>
 void
-expectSameTags(const std::vector<TagEntry> &a,
-               const std::vector<TagEntry> &b, const char *what)
+expectSameTags(const List &a, const std::vector<TagEntry> &b,
+               const char *what)
 {
     ASSERT_EQ(a.size(), b.size()) << what;
     for (std::size_t i = 0; i < a.size(); ++i)

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace cmpsim {
@@ -203,6 +208,125 @@ TEST(EventQueueTest, InterleavedCyclesKeepScheduleOrder)
         {20, 5}, {30, 0}, {30, 4}, {40, 7},
     };
     EXPECT_EQ(order, expect);
+}
+
+TEST(EventQueueTest, CallbackSchedulingSeveralSlabChunksRunsInPlace)
+{
+    // One running callback schedules enough events to grow the slab by
+    // several chunks; it runs in place, so its own captures must
+    // survive the growth, and every new event must run in (when, seq)
+    // order.
+    EventQueue eq;
+    std::vector<int> order;
+    const std::vector<int> payload(64, 7);
+    int payload_sum = 0;
+    constexpr int kEvents = 1000;
+    eq.schedule(1, [&, payload] {
+        for (int i = 0; i < kEvents; ++i) {
+            const Cycle when =
+                i % 2 != 0 ? eq.now() : eq.now() + 1 + i % 5;
+            eq.schedule(when, [&order, i] { order.push_back(i); });
+        }
+        payload_sum = std::accumulate(payload.begin(), payload.end(), 0);
+    });
+    eq.drain();
+    EXPECT_EQ(payload_sum, 64 * 7);
+
+    std::vector<std::pair<Cycle, int>> expect;
+    for (int i = 0; i < kEvents; ++i)
+        expect.emplace_back(i % 2 != 0 ? 1 : 2 + i % 5, i);
+    std::sort(expect.begin(), expect.end());
+    ASSERT_EQ(order.size(), expect.size());
+    for (std::size_t k = 0; k < expect.size(); ++k)
+        ASSERT_EQ(order[k], expect[k].second) << k;
+}
+
+/** Records the address it runs at: the slab slot it was built in. */
+struct SlotProbe
+{
+    std::vector<const void *> *seen;
+    void operator()() const { seen->push_back(this); }
+};
+
+TEST(EventQueueTest, FreedSlotsAreReusedAndOrderHolds)
+{
+    EventQueue eq;
+    std::vector<const void *> seen;
+    eq.schedule(1, SlotProbe{&seen});
+    eq.drain();
+    eq.schedule(2, SlotProbe{&seen});
+    eq.drain();
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0], seen[1]); // the freed slot was handed out again
+
+    // Random scheduling interleaved with single dispatches keeps
+    // recycling slots; every dispatch must still be the (when, seq)
+    // minimum of a reference model.
+    std::set<std::pair<std::pair<Cycle, std::uint64_t>, int>> pending;
+    std::uint64_t seq = 0;
+    int ran = -1;
+    std::uint64_t lcg = 12345;
+    auto next = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 33;
+    };
+    for (int id = 0; id < 5000; ++id) {
+        const Cycle when = eq.now() + next() % 8;
+        eq.schedule(when, [&ran, id] { ran = id; });
+        pending.insert({{when, seq++}, id});
+        while (!pending.empty() && next() % 3 == 0) {
+            eq.runOneEarliest();
+            ASSERT_EQ(ran, pending.begin()->second) << id;
+            ASSERT_EQ(eq.now(), pending.begin()->first.first);
+            pending.erase(pending.begin());
+        }
+    }
+    while (!pending.empty()) {
+        eq.runOneEarliest();
+        ASSERT_EQ(ran, pending.begin()->second);
+        pending.erase(pending.begin());
+    }
+    EXPECT_TRUE(eq.empty());
+}
+
+/** A capture that counts destructions of its live (not moved-from)
+ *  instances. */
+struct Tracker
+{
+    int *destroyed;
+    bool live = true;
+
+    explicit Tracker(int *d) : destroyed(d) {}
+    Tracker(Tracker &&o) noexcept : destroyed(o.destroyed), live(o.live)
+    {
+        o.live = false;
+    }
+    Tracker(const Tracker &) = delete;
+    Tracker &operator=(const Tracker &) = delete;
+    Tracker &operator=(Tracker &&) = delete;
+    ~Tracker()
+    {
+        if (live)
+            ++*destroyed;
+    }
+};
+
+TEST(EventQueueTest, CallbacksAreDestroyedExactlyOnce)
+{
+    int destroyed = 0;
+    {
+        EventQueue eq;
+        for (int i = 0; i < 300; ++i)
+            eq.schedule(10 + i, [t = Tracker(&destroyed)] {});
+        eq.schedule(5, [t = Tracker(&destroyed)] {});
+        eq.advanceTo(5);
+        // The callback that ran is destroyed right after running.
+        EXPECT_EQ(destroyed, 1);
+        // One more pending in the same-cycle FIFO at destruction.
+        eq.schedule(5, [t = Tracker(&destroyed)] {});
+        EXPECT_EQ(destroyed, 1);
+    }
+    EXPECT_EQ(destroyed, 302);
 }
 
 } // namespace

@@ -153,6 +153,31 @@ TEST(ConfigValidateTest, ErrorNamesTheOffendingKnob)
     }
 }
 
+TEST(ConfigValidateTest, InlineListBoundsAreEnforced)
+{
+    // A set evicts at most its tag count per insert and a stream
+    // emits at most its startup burst per call; both lists are held
+    // inline, so their bounds are configuration limits.
+    auto context = [](const SystemConfig &c) {
+        try {
+            c.validate();
+        } catch (const ConfigError &e) {
+            return e.context();
+        }
+        return std::string("accepted");
+    };
+    SystemConfig c = makeConfig(8, 4, false, false, true, true);
+    c.extra_victim_tags = 8; // 8 + 8 L2 tags: the limit
+    EXPECT_EQ(context(c), "accepted");
+    c.extra_victim_tags = 9;
+    EXPECT_EQ(context(c), "config.l2");
+    c = makeConfig(8, 4, false, false, true, true);
+    c.l2_startup_prefetches = kMaxStartupPrefetches;
+    EXPECT_EQ(context(c), "accepted");
+    c.l2_startup_prefetches = kMaxStartupPrefetches + 1;
+    EXPECT_EQ(context(c), "config.prefetch");
+}
+
 TEST(ConfigValidateTest, BadConfigIsRejectedAtSystemBuild)
 {
     SystemConfig c = makeConfig(8, 4, true, true, true, true);

@@ -347,7 +347,8 @@ TEST(StridePrefetcherDiffTest, MatchesReferenceOnRandomStreams)
                 std::vector<Addr> got, want;
                 if (!issued.empty() && rng.below(3) == 0) {
                     addr = issued[rng.below(issued.size())];
-                    got = real.observeUse(addr, limit);
+                    const PrefetchList r = real.observeUse(addr, limit);
+                    got.assign(r.begin(), r.end());
                     want = ref.observeUse(addr, limit);
                 } else {
                     w.line += w.stride;
@@ -355,7 +356,8 @@ TEST(StridePrefetcherDiffTest, MatchesReferenceOnRandomStreams)
                                ? static_cast<Addr>(rng.below(1 << 22))
                                      << kLineShift
                                : static_cast<Addr>(w.line) << kLineShift;
-                    got = real.observeMiss(addr, limit);
+                    const PrefetchList r = real.observeMiss(addr, limit);
+                    got.assign(r.begin(), r.end());
                     want = ref.observeMiss(addr, limit);
                 }
                 ASSERT_EQ(got, want) << "step " << step << " addr "

@@ -15,7 +15,10 @@
  *    marks every live binding stale (recording the call line);
  *  - a later use of a stale binding (`p->`, `p[`, or `*p` in
  *    expression position) is a finding, unless a reassignment
- *    `p = ...` (the re-find) intervened.
+ *    `p = ...` (the re-find) intervened;
+ *  - an assignment whose right side *is* the reordering call
+ *    (`p = &set.touch(line);`, touch() returning the moved entry)
+ *    stales every other binding and re-binds `p` fresh.
  *
  * The analysis is deliberately control-flow-insensitive and
  * receiver-type-blind (it cannot prove `other.insert()` touches a
@@ -38,6 +41,37 @@ reorderingMethod(const std::string &name)
 {
     return name == "touch" || name == "insert" || name == "resize" ||
            name == "invalidate";
+}
+
+/**
+ * If the tokens from @p j form `[&] name ((.|->) name)* ( ... ) ;`
+ * ending in a call to a reordering method — the whole right side of an
+ * assignment being that call — return the index of the `;`, else 0.
+ */
+std::size_t
+rebindingCallEnd(const std::vector<Token> &t, std::size_t j)
+{
+    std::size_t k = j;
+    if (isPunct(t, k, "&"))
+        ++k;
+    std::size_t method = 0;
+    while (k < t.size() && t[k].kind == TokKind::Ident) {
+        method = k++;
+        if (!isPunct(t, k, ".") && !isPunct(t, k, "->"))
+            break;
+        ++k;
+    }
+    if (method == 0 || !reorderingMethod(t[method].text) ||
+        !isPunct(t, k, "("))
+        return 0;
+    int parens = 0;
+    for (; k < t.size(); ++k) {
+        if (isPunct(t, k, "("))
+            ++parens;
+        else if (isPunct(t, k, ")") && --parens == 0)
+            break;
+    }
+    return isPunct(t, k + 1, ";") ? k + 1 : 0;
 }
 
 struct Binding
@@ -127,6 +161,14 @@ class TagEntryChecker final : public Checker
             if (bound == nullptr)
                 continue;
             if (isPunct(t, i + 1, "=")) {
+                const std::size_t end = rebindingCallEnd(t, i + 2);
+                if (end != 0) {
+                    for (Binding &b : live) {
+                        if (&b != bound && b.stale_line == 0)
+                            b.stale_line = t[i].line;
+                    }
+                    i = end;
+                }
                 bound->stale_line = 0;
                 continue;
             }
