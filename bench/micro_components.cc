@@ -168,7 +168,7 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
-// The copy-on-pop/move-on-pop/intrusive-heap progression on the same
+// The copy-on-pop/move-on-pop/timing-wheel progression on the same
 // schedule-then-drain workload (16 fat-capture events per iteration).
 void
 BM_EventKernelLegacyCopyPop(benchmark::State &state)
@@ -193,7 +193,7 @@ BM_EventKernelLegacyMovePop(benchmark::State &state)
 BENCHMARK(BM_EventKernelLegacyMovePop);
 
 void
-BM_EventKernelIntrusiveHeap(benchmark::State &state)
+BM_EventKernelTimingWheel(benchmark::State &state)
 {
     EventQueue eq;
     std::uint64_t sink = 0;
@@ -201,12 +201,12 @@ BM_EventKernelIntrusiveHeap(benchmark::State &state)
         runScheduleDrainBatch(eq, sink);
     benchmark::DoNotOptimize(sink);
 }
-BENCHMARK(BM_EventKernelIntrusiveHeap);
+BENCHMARK(BM_EventKernelTimingWheel);
 
 // Cascading same-cycle continuations (the cache-bank -> link ->
-// directory pattern): exercises the FIFO fast path that bypasses the
-// heap entirely. The legacy variant pays a heap push + sift per
-// continuation.
+// directory pattern): each continuation is an append to the wheel
+// bucket of the executing cycle. The legacy variant pays a heap push
+// + sift per continuation.
 void
 BM_EventKernelLegacyCascade(benchmark::State &state)
 {
@@ -239,9 +239,9 @@ BM_EventQueueSameCycleCascade(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueSameCycleCascade);
 
-// Burst scheduling with and without pre-sized storage: the sharded
-// kernel reserves cores x ROB entries up front (see CmpSystem::
-// buildSystem), so the heap never reallocates mid-run. The batch is
+// Burst scheduling with and without pre-sized storage: CmpSystem
+// reserves cores x ROB entries up front, so the slab never grows
+// mid-run. The batch is
 // drained outside the reserve so growth cost recurs every iteration
 // in the no-reserve variant.
 void

@@ -30,14 +30,22 @@ DecoupledSet::find(Addr line) const
 TagEntry &
 DecoupledSet::touch(Addr line)
 {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->valid && it->line == line) {
-            std::rotate(entries_.begin(), it, it + 1);
-            return entries_.front();
-        }
+    for (TagEntry &e : entries_) {
+        if (e.valid && e.line == line)
+            return touch(e);
     }
     cmpsim_panic("touch of absent line %#lx",
                  static_cast<unsigned long>(line));
+}
+
+TagEntry &
+DecoupledSet::touch(TagEntry &e)
+{
+    cmpsim_assert(&e >= entries_.data() &&
+                  &e < entries_.data() + entries_.size() && e.valid);
+    const auto it = entries_.begin() + (&e - entries_.data());
+    std::rotate(entries_.begin(), it, it + 1);
+    return entries_.front();
 }
 
 void

@@ -97,6 +97,10 @@ class DecoupledSet
      *  (the LRU stack is reordered in place); re-find() after. */
     TagEntry &touch(Addr line);
 
+    /** touch() for the entry find() just returned, without scanning
+     *  for it again. @pre @p e is a valid entry of this set. */
+    TagEntry &touch(TagEntry &e);
+
     /**
      * Insert @p entry (valid, with a segment count), evicting LRU
      * valid lines until a tag and enough segments are free.

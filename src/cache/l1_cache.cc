@@ -94,19 +94,7 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
     ++accesses_;
 
     if (e != nullptr) {
-        if (e->prefetch)
-            onPrefetchBitHit(*e, when);
-        e = &set.touch(line);
-        if (!is_write || e->dirty) {
-            // Plain hit (read, or write to an M line).
-            ++hits_;
-            scheduleDone(when + params_.hit_latency, std::move(done));
-            return;
-        }
-        // Write to an S line: upgrade through the directory.
-        ++upgrades_;
-        demandMiss(line, true, /*upgrade=*/true,
-                   when + params_.hit_latency, std::move(done));
+        hit(set, *e, is_write, when, std::move(done));
         return;
     }
 
@@ -126,6 +114,45 @@ L1Cache::access(Addr addr, bool is_write, Cycle when, Done done)
 
     demandMiss(line, is_write, /*upgrade=*/false,
                when + params_.hit_latency, std::move(done));
+}
+
+bool
+L1Cache::tryReadHit(Addr addr, Cycle when, Done done)
+{
+    const Addr line = lineAddr(addr);
+    DecoupledSet &set = sets_[setIndex(line)];
+    TagEntry *e = set.find(line);
+    if (e == nullptr)
+        return false;
+    cmpsim_assert(canAccept(addr));
+    ++accesses_;
+    hit(set, *e, false, when, std::move(done));
+    return true;
+}
+
+void
+L1Cache::hit(DecoupledSet &set, TagEntry &e, bool is_write, Cycle when,
+             Done done)
+{
+    const Addr line = e.line;
+    TagEntry *mru;
+    if (e.prefetch) {
+        // The stream advance may issue prefetches; find the line anew.
+        onPrefetchBitHit(e, when);
+        mru = &set.touch(line);
+    } else {
+        mru = &set.touch(e);
+    }
+    if (!is_write || mru->dirty) {
+        // Plain hit (read, or write to an M line).
+        ++hits_;
+        scheduleDone(when + params_.hit_latency, std::move(done));
+        return;
+    }
+    // Write to an S line: upgrade through the directory.
+    ++upgrades_;
+    demandMiss(line, true, /*upgrade=*/true, when + params_.hit_latency,
+               std::move(done));
 }
 
 void

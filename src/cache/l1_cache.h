@@ -88,6 +88,14 @@ class L1Cache
      */
     void access(Addr addr, bool is_write, Cycle when, Done done);
 
+    /**
+     * Timed read that goes ahead only if it hits: on a hit it does
+     * exactly what access(addr, false, when, done) does and returns
+     * true; on a miss it changes nothing and returns false. A hit
+     * scans the set once.
+     */
+    bool tryReadHit(Addr addr, Cycle when, Done done);
+
     /** Timed prefetch into this L1 (from its stride prefetcher). */
     void prefetchLine(Addr line, Cycle when);
 
@@ -181,6 +189,10 @@ class L1Cache
 
     /** First demand use of a prefetched line. */
     void onPrefetchBitHit(TagEntry &e, Cycle when);
+
+    /** Timed demand hit on @p e, the entry set.find() returned. */
+    void hit(DecoupledSet &set, TagEntry &e, bool is_write, Cycle when,
+             Done done);
 
     unsigned allowedStartup() const;
 

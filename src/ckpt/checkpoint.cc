@@ -218,9 +218,9 @@ CheckpointCodec::encodePrefetcher(ckpt::Encoder &e,
             e.boolean(f.valid);
         }
     };
-    table(pf.pos_unit_);
-    table(pf.neg_unit_);
-    table(pf.non_unit_);
+    table(pf.pos_unit_.entries);
+    table(pf.neg_unit_.entries);
+    table(pf.non_unit_.entries);
     e.u32(static_cast<std::uint32_t>(pf.streams_.size()));
     for (const auto &s : pf.streams_) {
         e.i64(s.next_pf);
@@ -253,9 +253,12 @@ CheckpointCodec::decodePrefetcher(ckpt::Decoder &d, StridePrefetcher &pf)
             f.valid = d.boolean();
         }
     };
-    table(pf.pos_unit_);
-    table(pf.neg_unit_);
-    table(pf.non_unit_);
+    table(pf.pos_unit_.entries);
+    table(pf.neg_unit_.entries);
+    table(pf.non_unit_.entries);
+    pf.pos_unit_.reindex();
+    pf.neg_unit_.reindex();
+    pf.non_unit_.reindex();
     const std::uint32_t nstreams = d.u32();
     if (nstreams != pf.streams_.size())
         throw ckpt::CorruptCheckpoint("stream-table size mismatch");
@@ -294,6 +297,9 @@ CheckpointCodec::saveSystem()
 void
 CheckpointCodec::loadSystem(ckpt::Decoder &d)
 {
+    // Moving the clock under pending events would strand them outside
+    // the event wheel's horizon; a quiesced snapshot has none.
+    cmpsim_assert(sys_.eq_.empty(), "restore into a busy event queue");
     sys_.eq_.now_ = d.u64();
     sys_.eq_.seq_ = d.u64();
     const double ratio_sum = d.dbl();

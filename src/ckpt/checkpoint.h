@@ -129,6 +129,8 @@ class CheckpointCodec
      *  tick, field by field (the "prefetch" section's per-engine body). */
     static void encodePrefetcher(ckpt::Encoder &e,
                                  const StridePrefetcher &pf);
+    /** Replace @p pf's tables with an encodePrefetcher() body. */
+    static void decodePrefetcher(ckpt::Decoder &d, StridePrefetcher &pf);
 
   private:
     // ---- section writers ----
@@ -161,7 +163,6 @@ class CheckpointCodec
     // ---- shared structure helpers ----
     static void encodeSet(ckpt::Encoder &e, const DecoupledSet &set);
     static void decodeSet(ckpt::Decoder &d, DecoupledSet &set);
-    static void decodePrefetcher(ckpt::Decoder &d, StridePrefetcher &pf);
 
     CmpSystem &sys_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/audit/audits.h"
 #include "src/obs/cpi_stack.h"
 #include "src/sim/fault_injection.h"
 
@@ -25,12 +26,11 @@ CoreModel::fetchAvailable(Addr pc, Cycle now)
     if (line == last_fetch_line_)
         return true;
 
-    if (icache_.probeHit(line)) {
+    if (icache_.tryReadHit(line, now, [](Cycle) {})) {
         // Pipelined I-hit: no stall, but the access still updates LRU,
         // prefetch bits and the I-prefetcher.
         ++ifetch_lines_;
         last_fetch_line_ = line;
-        icache_.access(line, false, now, [](Cycle) {});
         return true;
     }
 
@@ -138,7 +138,7 @@ CoreModel::dispatchOne(Cycle now)
       }
       case InstrType::Alu: {
         e.type = InstrType::Alu;
-        e.done_at = now + params_.alu_latency;
+        e.done_at = now + 1;
         break;
       }
     }
@@ -263,19 +263,14 @@ CoreModel::tick(Cycle now)
         cpi_->endTick(now, cause, line);
     }
 
-    // Blocked: compute the earliest self-known wake-up.
-    Cycle nw = kCycleNever;
-    unsigned idx = rob_head_;
-    for (unsigned i = 0; i < rob_count_; ++i) {
-        const Cycle d = rob_[idx].done_at;
-        if (d != kCycleNever && d > now)
-            nw = std::min(nw, d);
-        idx = robNext(idx);
-    }
-    if (fetch_stall_until_ != kCycleNever && fetch_stall_until_ > now)
-        nw = std::min(nw, fetch_stall_until_);
-    next_wake_ = nw;
-    return nw;
+    // Blocked: no ROB entry completes in the future (DESIGN.md §7).
+    // A non-load dispatched at d completes at d + 1, and dispatching
+    // made the core tick again at d + 1; a load's done_at is set by
+    // its completion callback at that event's own cycle, and the
+    // callback wakes the core. So only a fetch stall can end the wait
+    // by itself. The core.N.rob_wake audit guards this.
+    next_wake_ = fetch_stall_until_ > now ? fetch_stall_until_ : kCycleNever;
+    return next_wake_;
 }
 
 void
@@ -362,6 +357,41 @@ CoreModel::adoptSkip(const CoreModel &leader, std::uint64_t count,
     mispredicts_.restore(leader.mispredicts_.value());
     ifetch_lines_.restore(leader.ifetch_lines_.value());
     last_fetch_line_ = leader.last_fetch_line_;
+}
+
+Cycle &
+CoreModel::robDoneAtForTest(unsigned i)
+{
+    cmpsim_assert(i < rob_count_);
+    return rob_[(rob_head_ + i) % params_.rob_entries].done_at;
+}
+
+void
+CoreModel::registerAudits(InvariantRegistry &reg, const std::string &name)
+{
+    reg.add(name + ".rob_wake", [this](std::string &why) {
+        // What lets a blocked tick() skip the ROB: an entry still to
+        // complete is a load (kCycleNever) or completes at now + 1,
+        // with the core awake by then.
+        const Cycle now = eq_.now();
+        unsigned idx = rob_head_;
+        for (unsigned i = 0; i < rob_count_; ++i, idx = robNext(idx)) {
+            const Cycle d = rob_[idx].done_at;
+            if (d == kCycleNever || d <= now)
+                continue;
+            if (d > now + 1 || next_wake_ > d) {
+                why = auditFormat(
+                    "ROB entry %u (id %llu) completes at %llu, now %llu, "
+                    "next wake %llu",
+                    idx, static_cast<unsigned long long>(rob_[idx].id),
+                    static_cast<unsigned long long>(d),
+                    static_cast<unsigned long long>(now),
+                    static_cast<unsigned long long>(next_wake_));
+                return false;
+            }
+        }
+        return true;
+    });
 }
 
 void

@@ -33,6 +33,7 @@
 namespace cmpsim {
 
 class CpiAccount;
+class InvariantRegistry;
 
 /** Static core configuration (Table 1). */
 struct CoreParams
@@ -43,8 +44,6 @@ struct CoreParams
 
     /** Pipeline refill after a mispredicted branch resolves. */
     Cycle branch_redirect_penalty = 11;
-
-    Cycle alu_latency = 1;
 };
 
 /** One single-threaded core. */
@@ -108,6 +107,23 @@ class CoreModel
 
     void registerStats(StatRegistry &reg, const std::string &prefix);
     void resetStats();
+
+    /**
+     * Register "<name>.rob_wake": every ROB entry is a load still
+     * waiting on memory or completes by now + 1, and one completing
+     * after now finds the core awake by then (the blocked tick does
+     * not scan the ROB for wake-ups).
+     */
+    void registerAudits(InvariantRegistry &reg, const std::string &name);
+
+    /** Instructions in the ROB. */
+    unsigned robOccupancy() const { return rob_count_; }
+
+    /**
+     * Mutable completion cycle of the @p i-th oldest ROB entry, for
+     * audit-test fault injection ONLY. @pre i < robOccupancy().
+     */
+    Cycle &robDoneAtForTest(unsigned i);
 
   private:
     friend class CheckpointCodec; // serializes ROB/chain/fetch state

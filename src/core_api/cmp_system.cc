@@ -322,6 +322,7 @@ CmpSystem::buildSystem()
         const std::string idx = std::to_string(c);
         l1i_[c]->registerAudits(audits_, "l1i." + idx);
         l1d_[c]->registerAudits(audits_, "l1d." + idx);
+        cores_[c]->registerAudits(audits_, "core." + idx);
     }
 }
 

@@ -2,17 +2,119 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 namespace cmpsim {
 
 namespace {
 constexpr unsigned kRecentMissWindow = 8;
+
+/** Key of an entry that cannot match: real lines are non-negative,
+ *  and a valid key is at least -max_stride. */
+constexpr std::int64_t kNoKey = std::numeric_limits<std::int64_t>::min();
 } // namespace
 
+StridePrefetcher::FilterTable::FilterTable(unsigned size,
+                                           std::int64_t match_stride)
+    : entries(size), match_stride_(match_stride), keys_(size, kNoKey),
+      newer_(size, kNone), older_(size, kNone)
+{
+    cmpsim_assert(size > 0 && size <= 64,
+                  "a filter table holds 1 to 64 entries");
+    clear();
+}
+
+int
+StridePrefetcher::FilterTable::match(std::int64_t line) const
+{
+    std::uint64_t hits = 0;
+    for (unsigned i = 0; i < keys_.size(); ++i)
+        hits |= static_cast<std::uint64_t>(keys_[i] == line) << i;
+    return hits != 0 ? __builtin_ctzll(hits) : -1;
+}
+
+unsigned
+StridePrefetcher::FilterTable::victim() const
+{
+    return invalid_ != 0 ? static_cast<unsigned>(__builtin_ctzll(invalid_))
+                         : lru_;
+}
+
+void
+StridePrefetcher::FilterTable::unlink(unsigned i)
+{
+    const std::uint8_t n = newer_[i];
+    const std::uint8_t o = older_[i];
+    (n != kNone ? older_[n] : mru_) = o;
+    (o != kNone ? newer_[o] : lru_) = n;
+}
+
+void
+StridePrefetcher::FilterTable::linkMru(unsigned i)
+{
+    newer_[i] = kNone;
+    older_[i] = mru_;
+    (mru_ != kNone ? newer_[mru_] : lru_) = static_cast<std::uint8_t>(i);
+    mru_ = static_cast<std::uint8_t>(i);
+}
+
+void
+StridePrefetcher::FilterTable::touch(unsigned i)
+{
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    if ((invalid_ & bit) != 0)
+        invalid_ &= ~bit;
+    else
+        unlink(i);
+    linkMru(i);
+    const std::int64_t s = stride(i);
+    keys_[i] = s != 0 ? entries[i].last_line + s : kNoKey;
+}
+
+void
+StridePrefetcher::FilterTable::retire(unsigned i)
+{
+    entries[i].valid = false;
+    keys_[i] = kNoKey;
+    unlink(i);
+    invalid_ |= std::uint64_t{1} << i;
+}
+
+void
+StridePrefetcher::FilterTable::clear()
+{
+    for (FilterEntry &e : entries)
+        e.valid = false;
+    reindex();
+}
+
+void
+StridePrefetcher::FilterTable::reindex()
+{
+    const auto n = static_cast<unsigned>(entries.size());
+    invalid_ = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    mru_ = lru_ = kNone;
+    std::uint8_t order[64];
+    unsigned valid = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        keys_[i] = kNoKey;
+        if (entries[i].valid)
+            order[valid++] = static_cast<std::uint8_t>(i);
+    }
+    // Oldest (lru, index) first, so it ends at the LRU end.
+    std::sort(order, order + valid, [this](std::uint8_t x, std::uint8_t y) {
+        return entries[x].lru != entries[y].lru
+                   ? entries[x].lru < entries[y].lru
+                   : x < y;
+    });
+    for (unsigned k = 0; k < valid; ++k)
+        touch(order[k]);
+}
+
 StridePrefetcher::StridePrefetcher(const PrefetcherParams &params)
-    : params_(params), pos_unit_(params.filter_entries),
-      neg_unit_(params.filter_entries), non_unit_(params.filter_entries),
-      streams_(params.stream_entries)
+    : params_(params), pos_unit_(params.filter_entries, +1),
+      neg_unit_(params.filter_entries, -1),
+      non_unit_(params.filter_entries, 0), streams_(params.stream_entries)
 {
     cmpsim_assert(params.filter_entries > 0);
     cmpsim_assert(params.stream_entries > 0);
@@ -20,16 +122,21 @@ StridePrefetcher::StridePrefetcher(const PrefetcherParams &params)
     cmpsim_assert(params.startup_prefetches <= kMaxStartupPrefetches);
 }
 
-StridePrefetcher::FilterEntry *
-StridePrefetcher::matchFilter(FilterTable &table, std::int64_t line,
-                              std::int64_t stride)
+PrefetchList
+StridePrefetcher::trainFilter(FilterTable &table, unsigned i,
+                              std::int64_t line, unsigned startup_limit)
 {
-    for (auto &e : table) {
-        const std::int64_t s = stride != 0 ? stride : e.stride;
-        if (e.valid && s != 0 && e.last_line + s == line)
-            return &e;
+    FilterEntry &e = table.entries[i];
+    e.last_line = line;
+    e.lru = tick_;
+    if (++e.count >= params_.train_count) {
+        const std::int64_t stride = table.stride(i);
+        table.retire(i);
+        return startup_limit ? allocStream(line, stride, startup_limit)
+                             : PrefetchList{};
     }
-    return nullptr;
+    table.touch(i);
+    return {};
 }
 
 void
@@ -37,20 +144,14 @@ StridePrefetcher::allocFilter(FilterTable &table, std::int64_t line,
                               std::int64_t stride, unsigned count)
 {
     ++filter_allocs_;
-    FilterEntry *victim = &table[0];
-    for (auto &e : table) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lru < victim->lru)
-            victim = &e;
-    }
-    victim->valid = true;
-    victim->last_line = line;
-    victim->stride = stride;
-    victim->count = count;
-    victim->lru = tick_;
+    const unsigned i = table.victim();
+    FilterEntry &e = table.entries[i];
+    e.valid = true;
+    e.last_line = line;
+    e.stride = stride;
+    e.count = count;
+    e.lru = tick_;
+    table.touch(i);
 }
 
 bool
@@ -173,43 +274,17 @@ StridePrefetcher::observeMiss(Addr line_addr, unsigned startup_limit)
     if (StreamEntry *s = findStream(line))
         return advanceStream(*s, line, startup_limit);
 
-    // Positive unit stride.
-    if (FilterEntry *e = matchFilter(pos_unit_, line, +1)) {
-        e->last_line = line;
-        e->lru = tick_;
-        if (++e->count >= params_.train_count) {
-            e->valid = false;
-            return startup_limit ? allocStream(line, +1, startup_limit)
-                                 : PrefetchList{};
-        }
-        return {};
-    }
-
-    // Negative unit stride.
-    if (FilterEntry *e = matchFilter(neg_unit_, line, -1)) {
-        e->last_line = line;
-        e->lru = tick_;
-        if (++e->count >= params_.train_count) {
-            e->valid = false;
-            return startup_limit ? allocStream(line, -1, startup_limit)
-                                 : PrefetchList{};
-        }
-        return {};
-    }
-
-    // Non-unit stride (stride learned per entry).
-    if (FilterEntry *e = matchFilter(non_unit_, line, 0)) {
-        e->last_line = line;
-        e->lru = tick_;
-        if (++e->count >= params_.train_count) {
-            const std::int64_t stride = e->stride;
-            e->valid = false;
-            return startup_limit
-                       ? allocStream(line, stride, startup_limit)
-                       : PrefetchList{};
-        }
-        return {};
-    }
+    // Positive unit stride, then negative unit stride, then non-unit
+    // stride (stride learned per entry).
+    if (const int i = pos_unit_.match(line); i >= 0)
+        return trainFilter(pos_unit_, static_cast<unsigned>(i), line,
+                           startup_limit);
+    if (const int i = neg_unit_.match(line); i >= 0)
+        return trainFilter(neg_unit_, static_cast<unsigned>(i), line,
+                           startup_limit);
+    if (const int i = non_unit_.match(line); i >= 0)
+        return trainFilter(non_unit_, static_cast<unsigned>(i), line,
+                           startup_limit);
 
     // No match: start tracking this miss. Unit tables learn from the
     // address alone; the non-unit table pairs it with a recent miss.
@@ -261,12 +336,9 @@ StridePrefetcher::resetStats()
 void
 StridePrefetcher::clear()
 {
-    for (auto &e : pos_unit_)
-        e.valid = false;
-    for (auto &e : neg_unit_)
-        e.valid = false;
-    for (auto &e : non_unit_)
-        e.valid = false;
+    pos_unit_.clear();
+    neg_unit_.clear();
+    non_unit_.clear();
     for (auto &s : streams_)
         s.valid = false;
     recent_misses_.clear();

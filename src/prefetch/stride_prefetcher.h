@@ -162,13 +162,77 @@ class StridePrefetcher
         bool valid = false;
     };
 
-    using FilterTable = std::vector<FilterEntry>;
+    /**
+     * One filter table with O(1) match and victim choice. entries is
+     * the checkpointed state; the rest is an index over it that
+     * reindex() rebuilds (DESIGN.md §7):
+     *  - a key per entry, the line it matches next (last_line + its
+     *    stride) or kNoKey, so matching is one branch-free compare
+     *    per entry;
+     *  - a bitmask of the invalid entries and a recency list of the
+     *    valid ones ordered by (lru, index), so the victim is the
+     *    lowest-index invalid entry, else the list's LRU end.
+     * observeMiss() stamps at most one entry per table per tick, so
+     * valid stamps within a table are unique and this is exactly
+     * "first invalid, else first entry with the least lru".
+     */
+    class FilterTable
+    {
+      public:
+        /** @param match_stride +1 or -1 for a unit table, 0 when each
+         *  entry matches with its own learned stride. */
+        FilterTable(unsigned size, std::int64_t match_stride);
 
-    /** Match+advance in one table; returns matched entry or nullptr. */
-    FilterEntry *matchFilter(FilterTable &table, std::int64_t line,
-                             std::int64_t stride);
+        /** The stride entry @p i matches with. */
+        std::int64_t
+        stride(unsigned i) const
+        {
+            return match_stride_ != 0 ? match_stride_ : entries[i].stride;
+        }
 
-    /** Allocate (LRU) a filter entry. */
+        /** Index of the first entry that matches @p line, or -1. */
+        int match(std::int64_t line) const;
+
+        /** The entry to allocate next: the lowest-index invalid one,
+         *  else the least recently stamped. */
+        unsigned victim() const;
+
+        /** Entry @p i (valid) was just stamped: refresh its key and
+         *  make it the most recent. */
+        void touch(unsigned i);
+
+        /** Invalidate entry @p i. */
+        void retire(unsigned i);
+
+        /** Invalidate every entry. */
+        void clear();
+
+        /** Rebuild the index from entries (after a checkpoint decode). */
+        void reindex();
+
+        std::vector<FilterEntry> entries;
+
+      private:
+        static constexpr std::uint8_t kNone = 0xff;
+
+        void unlink(unsigned i);
+        void linkMru(unsigned i);
+
+        std::int64_t match_stride_;
+        std::vector<std::int64_t> keys_;
+        std::uint64_t invalid_ = 0; ///< bit i: entry i is invalid
+        std::vector<std::uint8_t> newer_; ///< recency links, kNone-ended
+        std::vector<std::uint8_t> older_;
+        std::uint8_t mru_ = kNone;
+        std::uint8_t lru_ = kNone;
+    };
+
+    /** Advance matched entry @p i of @p table to @p line; a fully
+     *  trained entry retires into a new stream. */
+    PrefetchList trainFilter(FilterTable &table, unsigned i,
+                             std::int64_t line, unsigned startup_limit);
+
+    /** Allocate (first invalid, else LRU) a filter entry. */
     void allocFilter(FilterTable &table, std::int64_t line,
                      std::int64_t stride, unsigned count);
 

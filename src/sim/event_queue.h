@@ -8,28 +8,37 @@
  * in scheduling order (stable), which keeps runs bit-reproducible.
  *
  * Implementation notes (hot path — this queue executes every timed
- * cache/link/memory transaction in the simulator):
- *
- *  - Ordering works on 24-byte keys {when, seq, slot}: an intrusive
- *    binary min-heap over a std::vector<Key> ordered by (when, seq),
- *    plus a same-cycle FIFO of keys (below). Sifting moves keys only;
- *    callbacks never move once scheduled.
+ * cache/link/memory transaction in the simulator; DESIGN.md §7):
  *
  *  - Callbacks live in a chunked slab of fixed-capacity
- *    InlineFunction slots with a LIFO free list. schedule() builds the
- *    callable directly in a free slot; dispatch runs it in place and
- *    then recycles the slot. Chunks never move, so a callback may
- *    schedule any number of events (growing the slab) while it runs.
- *    Once the slab and the key vectors have reached the run's
- *    high-water mark, scheduling and dispatch allocate nothing.
+ *    InlineFunction slots. schedule() builds the callable directly in
+ *    a free slot; dispatch runs it in place and then recycles the
+ *    slot. Chunks never move, so a callback may schedule any number
+ *    of events (growing the slab) while it runs. Once the slab has
+ *    reached the run's high-water mark, scheduling and dispatch
+ *    allocate nothing.
  *
- *  - Same-cycle fast path: while an event at cycle T executes,
- *    continuations it schedules back at cycle T are appended to a
- *    plain FIFO and run without touching the heap at all. This is
- *    order-exact: once now() has reached T every event already in the
- *    heap at T carries a smaller seq than any newly scheduled one, so
- *    "drain heap entries at T, then the FIFO in append order" is
- *    precisely the global (when, seq) order.
+ *  - Near events (cycles [now, now + kWheelSlots)) sit in a timing
+ *    wheel: one bucket per cycle, each a FIFO list threaded through a
+ *    per-slot next index, plus a bitmap of the non-empty buckets.
+ *    Scheduling appends to a bucket and dispatch pops its head, both
+ *    O(1); the free list is threaded through the same next index.
+ *
+ *  - Later events wait in an overflow binary min-heap of 24-byte
+ *    {when, seq, slot} keys. Every time now() advances, before any
+ *    callback at the new cycle runs, the heap entries that came
+ *    within the horizon move into their buckets in (when, seq) order.
+ *
+ *  - Order proof: a bucket's FIFO order is (when, seq) order. Direct
+ *    appends happen in schedule (= seq) order. An event migrated from
+ *    the heap was scheduled before its cycle entered the horizon, and
+ *    it migrates the moment its cycle does, before any event for that
+ *    cycle can be scheduled directly (such an event only goes to the
+ *    wheel once the cycle is inside the horizon, and gets a larger
+ *    seq). So migrated events precede direct ones and are themselves
+ *    popped from the heap in seq order. The bucket of now() is the
+ *    same-cycle FIFO: a continuation scheduled at now() is the newest
+ *    event of its cycle and runs after every older peer.
  */
 
 #ifndef CMPSIM_SIM_EVENT_QUEUE_H
@@ -60,6 +69,10 @@ class EventQueue
     static constexpr std::size_t kCallbackCapacity = 88;
     using Callback = InlineFunction<void(), kCallbackCapacity>;
 
+    /** Timing-wheel span in cycles (a power of two): longer than a
+     *  DRAM round trip, so nearly every event skips the heap. */
+    static constexpr std::uint32_t kWheelSlots = 1024;
+
     /** Current simulated cycle. */
     Cycle now() const { return now_; }
 
@@ -73,7 +86,6 @@ class EventQueue
     reserve(std::size_t events)
     {
         heap_.reserve(events);
-        same_cycle_.reserve(events);
         while (slotCount() < events)
             addChunk();
     }
@@ -93,59 +105,39 @@ class EventQueue
                       static_cast<unsigned long long>(now_));
         const std::uint32_t slot = allocSlot();
         slotAt(slot).emplace(std::forward<F>(cb));
-        const Key key{when, seq_++, slot};
-        if (when == now_) {
-            // Same-cycle continuation: newest seq by construction, so
-            // FIFO append order is (when, seq) order.
-            same_cycle_.push_back(key);
-            return;
-        }
-        heap_.push_back(key);
-        siftUp(heap_.size() - 1);
+        const std::uint64_t seq = seq_++;
+        if (when - now_ < kWheelSlots)
+            pushBucket(when, slot);
+        else
+            pushHeap(Key{when, seq, slot});
     }
 
-    bool
-    empty() const
-    {
-        return heap_.empty() && same_head_ == same_cycle_.size();
-    }
+    bool empty() const { return wheel_count_ == 0 && heap_.empty(); }
 
-    std::size_t
-    size() const
-    {
-        return heap_.size() + (same_cycle_.size() - same_head_);
-    }
+    std::size_t size() const { return wheel_count_ + heap_.size(); }
 
     /** Cycle of the earliest pending event (kCycleNever if none). */
     Cycle
     nextEventCycle() const
     {
-        if (same_head_ < same_cycle_.size())
-            return now_;
+        if (wheel_count_ > 0)
+            return nextWheelCycle();
         return heap_.empty() ? kCycleNever : heap_.front().when;
     }
 
     /**
-     * Pop and run the single earliest event (exact (when, seq) order
-     * across the heap and the FIFO), advancing now() to its cycle.
-     * The benchmark's event-kernel replay (perfbench/replay.cc) times
-     * single dispatches with it. @pre !empty().
+     * Pop and run the single earliest event (exact (when, seq)
+     * order), advancing now() to its cycle. The benchmark's
+     * event-kernel replay (perfbench/replay.cc) times single
+     * dispatches with it. @pre !empty().
      */
     void
     runOneEarliest()
     {
         cmpsim_assert(!empty(), "runOneEarliest on an empty queue");
-        const bool fifo = same_head_ < same_cycle_.size();
-        if (fifo && (heap_.empty() ||
-                     same_cycle_[same_head_].before(heap_.front()))) {
-            const Key key = popFifo();
-            now_ = key.when;
-            dispatch(key.slot);
-            return;
-        }
-        const Key key = popHeap();
-        now_ = key.when;
-        dispatch(key.slot);
+        if (wheel_[bucketOf(now_)].head == kNil)
+            advanceClock(nextEventCycle());
+        dispatch(popBucket(bucketOf(now_)));
     }
 
     /**
@@ -160,7 +152,8 @@ class EventQueue
                       static_cast<unsigned long long>(when),
                       static_cast<unsigned long long>(now_));
         runDue(when);
-        now_ = when;
+        if (when != now_)
+            advanceClock(when);
     }
 
     /**
@@ -191,9 +184,29 @@ class EventQueue
         }
     };
 
+    /** One wheel bucket: a FIFO list of slots threaded through
+     *  next_ (tail is meaningless while head is kNil). */
+    struct Bucket
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
+
+    static constexpr std::uint32_t kNil = ~0u;
+    static constexpr std::uint32_t kWords = kWheelSlots / 64;
+    static_assert((kWheelSlots & (kWheelSlots - 1)) == 0 &&
+                      kWheelSlots >= 64,
+                  "the wheel is a power-of-two number of 64-bit words");
+
     /** Slab chunk size in slots (a power of two). */
     static constexpr std::uint32_t kChunkShift = 8;
     static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+
+    static std::uint32_t
+    bucketOf(Cycle when)
+    {
+        return static_cast<std::uint32_t>(when) & (kWheelSlots - 1);
+    }
 
     std::size_t
     slotCount() const
@@ -212,20 +225,27 @@ class EventQueue
     {
         const auto base = static_cast<std::uint32_t>(slotCount());
         chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
-        free_.reserve(slotCount());
+        next_.resize(slotCount());
         // Push in reverse so the lowest new slot is handed out first.
         for (std::uint32_t i = kChunkSlots; i-- > 0;)
-            free_.push_back(base + i);
+            freeSlot(base + i);
     }
 
     std::uint32_t
     allocSlot()
     {
-        if (free_.empty())
+        if (free_head_ == kNil)
             addChunk();
-        const std::uint32_t slot = free_.back();
-        free_.pop_back();
+        const std::uint32_t slot = free_head_;
+        free_head_ = next_[slot];
         return slot;
+    }
+
+    void
+    freeSlot(std::uint32_t slot)
+    {
+        next_[slot] = free_head_;
+        free_head_ = slot;
     }
 
     /** Run the callback in @p slot in place, then recycle the slot.
@@ -237,13 +257,79 @@ class EventQueue
         Callback &cb = slotAt(slot);
         cb();
         cb.reset();
-        free_.push_back(slot);
+        freeSlot(slot);
+    }
+
+    /** Append @p slot to the bucket of @p when (inside the horizon). */
+    void
+    pushBucket(Cycle when, std::uint32_t slot)
+    {
+        const std::uint32_t b = bucketOf(when);
+        Bucket &bucket = wheel_[b];
+        next_[slot] = kNil;
+        if (bucket.head == kNil) {
+            bucket.head = slot;
+            occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+        } else {
+            next_[bucket.tail] = slot;
+        }
+        bucket.tail = slot;
+        ++wheel_count_;
+    }
+
+    /** Take the head of non-empty bucket @p b. */
+    std::uint32_t
+    popBucket(std::uint32_t b)
+    {
+        Bucket &bucket = wheel_[b];
+        const std::uint32_t slot = bucket.head;
+        bucket.head = next_[slot];
+        if (bucket.head == kNil)
+            occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+        --wheel_count_;
+        return slot;
+    }
+
+    /** Cycle of the first non-empty bucket at or after now().
+     *  @pre wheel_count_ > 0. */
+    Cycle
+    nextWheelCycle() const
+    {
+        const std::uint32_t start = bucketOf(now_);
+        std::uint32_t w = start / 64;
+        std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+        // kWords + 1 probes: the last revisits the start word's low
+        // bits, i.e. the buckets just before start (cycles near the
+        // far end of the horizon).
+        for (std::uint32_t i = 0; i <= kWords; ++i) {
+            if (bits != 0) {
+                const std::uint32_t b =
+                    w * 64 + static_cast<std::uint32_t>(__builtin_ctzll(bits));
+                return now_ + ((b - start) & (kWheelSlots - 1));
+            }
+            w = (w + 1) % kWords;
+            bits = occupied_[w];
+        }
+        cmpsim_panic("event wheel count %zu with no occupied bucket",
+                     wheel_count_);
+    }
+
+    /** Move now() to @p when, then pull every heap entry that came
+     *  within the horizon into its bucket, in (when, seq) order. */
+    void
+    advanceClock(Cycle when)
+    {
+        now_ = when;
+        while (!heap_.empty() && heap_.front().when - now_ < kWheelSlots) {
+            const Key key = popHeap();
+            pushBucket(key.when, key.slot);
+        }
     }
 
     /**
-     * Run every due event: heap entries with when <= @p limit plus
-     * all same-cycle continuations they spawn. On return the FIFO is
-     * empty and the heap's earliest entry (if any) is past limit.
+     * Run every due event: everything at cycles <= @p limit, including
+     * the same-cycle continuations they spawn. On return the earliest
+     * pending event (if any) is past limit.
      */
     std::uint64_t
     runDue(Cycle limit)
@@ -254,40 +340,28 @@ class EventQueue
         // separately from component cost (e.g. l2.lookup).
         CMPSIM_PROF_SCOPE("eq.dispatch");
         std::uint64_t executed = 0;
-        // Events at the current cycle (heap leftovers and the FIFO)
-        // are due only if now_ itself is within the limit — drain()
-        // may be called with a limit in the past and must be a no-op
-        // then, exactly like the when <= limit heap condition.
-        while (true) {
-            const bool now_due = now_ <= limit;
-            if (now_due && !heap_.empty() && heap_.front().when <= now_) {
-                // Pending heap entry at the current cycle: scheduled
-                // before now() reached it, so older than anything in
-                // the FIFO — must run first.
-                dispatch(popHeap().slot);
-            } else if (now_due && same_head_ < same_cycle_.size()) {
-                dispatch(popFifo().slot);
-            } else if (!heap_.empty() && heap_.front().when <= limit) {
-                const Key key = popHeap();
-                now_ = key.when;
-                dispatch(key.slot);
-            } else {
-                break;
+        // drain() may be called with a limit in the past and must be
+        // a no-op then: nothing at or after now() is due.
+        while (now_ <= limit) {
+            const std::uint32_t b = bucketOf(now_);
+            if (wheel_[b].head != kNil) {
+                dispatch(popBucket(b));
+                ++executed;
+                continue;
             }
-            ++executed;
+            const Cycle next = nextEventCycle();
+            if (next == kCycleNever || next > limit)
+                break;
+            advanceClock(next);
         }
         return executed;
     }
 
-    Key
-    popFifo()
+    void
+    pushHeap(const Key &key)
     {
-        const Key key = same_cycle_[same_head_++];
-        if (same_head_ == same_cycle_.size()) {
-            same_cycle_.clear();
-            same_head_ = 0;
-        }
-        return key;
+        heap_.push_back(key);
+        siftUp(heap_.size() - 1);
     }
 
     /** Take the root and restore the heap property. */
@@ -338,16 +412,19 @@ class EventQueue
         heap_[i] = key;
     }
 
-    std::vector<Key> heap_;       ///< binary min-heap by (when, seq)
-    std::vector<Key> same_cycle_; ///< FIFO of events at now()
-    std::size_t same_head_ = 0;   ///< first unconsumed FIFO slot
+    Bucket wheel_[kWheelSlots];          ///< one FIFO per cycle mod span
+    std::uint64_t occupied_[kWords] = {}; ///< bit per non-empty bucket
+    std::size_t wheel_count_ = 0;        ///< events in the wheel
+    std::vector<Key> heap_; ///< events past the horizon, by (when, seq)
     Cycle now_ = 0;
-    std::uint64_t seq_ = 0;       ///< next sequence number
+    std::uint64_t seq_ = 0; ///< next sequence number
 
     /** Callback slab: fixed-size chunks that never move; destroying
      *  them destroys every still-pending callback exactly once. */
     std::vector<std::unique_ptr<Callback[]>> chunks_;
-    std::vector<std::uint32_t> free_; ///< free slots, LIFO
+    /** Per slot: the next slot of its bucket, or of the free list. */
+    std::vector<std::uint32_t> next_;
+    std::uint32_t free_head_ = kNil; ///< free slots, LIFO
 };
 
 } // namespace cmpsim

@@ -286,6 +286,30 @@ TEST(AuditSystemTest, CorruptedL2SetIsCaughtAndNamed)
     }
 }
 
+TEST(AuditSystemTest, LateRobCompletionIsCaughtAndNamed)
+{
+    SystemConfig cfg = makeConfig(2, 8, false, false, false, false);
+    CmpSystem sys(cfg, benchmarkParams("zeus"));
+    sys.warmup(2000);
+    sys.run(500);
+    ASSERT_TRUE(sys.audits().check().empty());
+
+    // A run stops with instructions in flight. Give one a completion
+    // cycle no dispatch or memory callback can produce: a blocked
+    // core would never wake for it, as it no longer scans the ROB.
+    unsigned cpu = 0;
+    while (cpu < cfg.cores && sys.core(cpu).robOccupancy() == 0)
+        ++cpu;
+    ASSERT_LT(cpu, cfg.cores) << "run left every ROB empty";
+    sys.core(cpu).robDoneAtForTest(0) = kCycleNever - 1;
+
+    const auto failures = sys.audits().check();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].name, "core." + std::to_string(cpu) + ".rob_wake");
+    EXPECT_NE(failures[0].detail.find("completes at"), std::string::npos)
+        << failures[0].detail;
+}
+
 TEST(AuditSystemTest, DesyncedAdaptiveControllerIsCaughtAndNamed)
 {
     SystemConfig cfg = makeConfig(2, 8, false, false, true, true);

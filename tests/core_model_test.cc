@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "src/audit/invariant_registry.h"
 #include "src/compression/fpc.h"
 
 namespace cmpsim {
@@ -250,6 +251,36 @@ TEST_F(CoreModelTest, IFetchMissStallsDispatch)
     stream.addAlu(4);
     const Cycle end = runUntil(4);
     EXPECT_GT(end, 400u);
+}
+
+TEST_F(CoreModelTest, RobWakeAuditHoldsEveryCycle)
+{
+    // Blocks the core on every kind of wait in turn: load misses, a
+    // full MSHR file, mispredicted branches and the cold I-fetch.
+    for (int i = 0; i < 60; ++i) {
+        stream.addLoad(0x200000 + 0x1000 * static_cast<Addr>(i));
+        stream.addAlu(3);
+        stream.addStore(0x400000 + 64 * static_cast<Addr>(i), 7);
+        stream.addBranch(i % 5 == 0);
+    }
+    build();
+    InvariantRegistry reg;
+    core->registerAudits(reg, "core.0");
+    Cycle now = 0;
+    unsigned blocked_ticks = 0;
+    while (core->instructionsRetired() < 400) {
+        Cycle next = std::min(core->nextWake(), eq.nextEventCycle());
+        ASSERT_NE(next, kCycleNever) << "core lost its wake-up";
+        next = std::max(next, now);
+        eq.advanceTo(next);
+        now = next;
+        if (core->nextWake() <= now && core->tick(now) != now + 1)
+            ++blocked_ticks;
+        const auto failures = reg.check();
+        ASSERT_TRUE(failures.empty())
+            << "cycle " << now << ": " << failures[0].detail;
+    }
+    EXPECT_GT(blocked_ticks, 100u);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <numeric>
 #include <set>
 #include <utility>
@@ -193,7 +195,7 @@ TEST(EventQueueTest, RunOneEarliestRunsHeapPeersBeforeContinuations)
 
 TEST(EventQueueTest, InterleavedCyclesKeepScheduleOrder)
 {
-    // Stress the intrusive heap: many events at duplicated cycles
+    // Stress the wheel buckets: many events at duplicated cycles
     // must still pop in exact (when, seq) order.
     EventQueue eq;
     std::vector<std::pair<Cycle, int>> order;
@@ -327,6 +329,174 @@ TEST(EventQueueTest, CallbacksAreDestroyedExactlyOnce)
         EXPECT_EQ(destroyed, 1);
     }
     EXPECT_EQ(destroyed, 302);
+}
+
+// ---- Differential test against a reference (when, seq) queue ------
+
+/** The event kernel's contract written as directly as it reads: one
+ *  ordered map from (when, seq) to callback. */
+class ReferenceEventQueue
+{
+  public:
+    Cycle now() const { return now_; }
+    bool empty() const { return q_.empty(); }
+    std::size_t size() const { return q_.size(); }
+
+    Cycle
+    nextEventCycle() const
+    {
+        return q_.empty() ? kCycleNever : q_.begin()->first.first;
+    }
+
+    void
+    schedule(Cycle when, std::function<void()> cb)
+    {
+        ASSERT_GE(when, now_);
+        q_.emplace(std::make_pair(when, seq_++), std::move(cb));
+    }
+
+    void
+    runOneEarliest()
+    {
+        const auto it = q_.begin();
+        now_ = it->first.first;
+        const std::function<void()> cb = std::move(it->second);
+        q_.erase(it);
+        cb();
+    }
+
+    std::uint64_t
+    drain(Cycle limit = kCycleNever)
+    {
+        std::uint64_t n = 0;
+        for (; !q_.empty() && q_.begin()->first.first <= limit; ++n)
+            runOneEarliest();
+        return n;
+    }
+
+    void
+    advanceTo(Cycle when)
+    {
+        drain(when);
+        now_ = when;
+    }
+
+  private:
+    std::map<std::pair<Cycle, std::uint64_t>, std::function<void()>> q_;
+    Cycle now_ = 0;
+    std::uint64_t seq_ = 0;
+};
+
+/** SplitMix64 finalizer: the per-event decisions of the driver. */
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * Drives one queue through a scripted workload. Every event logs
+ * (id, now) when it runs and may, as a function of its id alone,
+ * schedule a same-cycle continuation or a later event (some past the
+ * wheel horizon), so two queues with the same contract log the same.
+ */
+template <typename Q>
+struct QueueDriver
+{
+    Q q;
+    std::vector<std::pair<std::uint64_t, Cycle>> log;
+    std::uint64_t next_id = 0;
+
+    void
+    add(Cycle when)
+    {
+        const std::uint64_t id = next_id++;
+        q.schedule(when, [this, id] {
+            log.emplace_back(id, q.now());
+            const std::uint64_t h = mix(id);
+            switch (h % 4) {
+              case 0: // same-cycle continuation
+                add(q.now());
+                break;
+              case 1: // later, up to past the horizon
+                add(q.now() + (h >> 8) % 1500);
+                break;
+              default:
+                break;
+            }
+        });
+    }
+};
+
+TEST(EventQueueDiffTest, MatchesReferenceQueueOnRandomInterleavings)
+{
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        QueueDriver<EventQueue> real;
+        QueueDriver<ReferenceEventQueue> ref;
+        std::uint64_t rng = seed;
+        auto draw = [&rng](std::uint64_t n) { return mix(rng++) % n; };
+        std::size_t checked = 0; // log entries already compared
+        for (int op = 0; op < 20000; ++op) {
+            const Cycle now = real.q.now();
+            switch (draw(10)) {
+              case 0:
+              case 1:
+              case 2:
+              case 3: { // schedule: same cycle, near, at or past the horizon
+                const Cycle spans[] = {1, 8, 1024, 1040, 6000};
+                Cycle when = now + draw(spans[draw(5)]);
+                if (draw(4) == 0)
+                    when = now + EventQueue::kWheelSlots - 2 + draw(4);
+                real.add(when);
+                ref.add(when);
+                break;
+              }
+              case 4:
+              case 5: {
+                const Cycle to = now + draw(draw(2) == 0 ? 16 : 3000);
+                real.q.advanceTo(to);
+                ref.q.advanceTo(to);
+                break;
+              }
+              case 6:
+              case 7: { // a limit in the past, near, far or unbounded
+                const Cycle limits[] = {now == 0 ? 0 : now - 1,
+                                        now + draw(64), now + draw(5000),
+                                        kCycleNever};
+                const Cycle limit = limits[draw(draw(50) == 0 ? 4 : 3)];
+                ASSERT_EQ(real.q.drain(limit), ref.q.drain(limit))
+                    << "op " << op;
+                break;
+              }
+              default:
+                if (!ref.q.empty()) {
+                    real.q.runOneEarliest();
+                    ref.q.runOneEarliest();
+                }
+                break;
+            }
+            ASSERT_EQ(real.log.size(), ref.log.size()) << "op " << op;
+            for (; checked < ref.log.size(); ++checked) {
+                ASSERT_EQ(real.log[checked], ref.log[checked])
+                    << "op " << op;
+            }
+            ASSERT_EQ(real.q.now(), ref.q.now()) << "op " << op;
+            ASSERT_EQ(real.q.size(), ref.q.size()) << "op " << op;
+            ASSERT_EQ(real.q.empty(), ref.q.empty()) << "op " << op;
+            ASSERT_EQ(real.q.nextEventCycle(), ref.q.nextEventCycle())
+                << "op " << op;
+        }
+        real.q.drain();
+        ref.q.drain();
+        EXPECT_EQ(real.log, ref.log);
+        // The run wrapped the wheel many times and ran a lot of events.
+        EXPECT_GT(real.q.now(), 100u * EventQueue::kWheelSlots);
+        EXPECT_GT(real.log.size(), 10000u);
+    }
 }
 
 } // namespace

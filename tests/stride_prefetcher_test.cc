@@ -4,7 +4,9 @@
 
 #include "src/ckpt/checkpoint.h"
 #include "src/common/random.h"
+#include "src/core_api/cmp_system.h"
 #include "src/prefetch/adaptive_controller.h"
+#include "src/workload/workload_params.h"
 #include "tests/reference_stride_prefetcher.h"
 
 namespace cmpsim {
@@ -365,13 +367,105 @@ TEST(StridePrefetcherDiffTest, MatchesReferenceOnRandomStreams)
                 issued.insert(issued.end(), got.begin(), got.end());
                 if (issued.size() > 256)
                     issued.erase(issued.begin(), issued.begin() + 128);
-                if (step % 1000 == 0)
+                if (step % 1000 == 0) {
                     ASSERT_EQ(encodeEngine(real), ref.encode()) << step;
+                }
             }
             EXPECT_EQ(encodeEngine(real), ref.encode());
             EXPECT_GT(real.streamsAllocated(), 100u);
         }
     }
+}
+
+/** Demand-miss line addresses of a short 4-core zeus run with
+ *  prefetching on, captured at the shared L2 in arrival order. */
+const std::vector<Addr> &
+zeusMissStream()
+{
+    static const std::vector<Addr> misses = [] {
+        CmpSystem sys(makeConfig(4, 4, true, false, true, true),
+                      benchmarkParams("zeus"));
+        std::vector<Addr> out;
+        sys.l2().setMissObserver([&out](ReqType t, Addr line) {
+            if (t == ReqType::Demand)
+                out.push_back(line);
+        });
+        sys.warmup(20000);
+        sys.run(200000);
+        return out;
+    }();
+    return misses;
+}
+
+TEST(StridePrefetcherDiffTest, MatchesReferenceOnCapturedZeusMisses)
+{
+    const std::vector<Addr> &misses = zeusMissStream();
+    ASSERT_GT(misses.size(), 5000u);
+    for (const PrefetcherParams params : {l1Params(), l2Params()}) {
+        SCOPED_TRACE(testing::Message()
+                     << "startup " << params.startup_prefetches);
+        StridePrefetcher real(params);
+        ReferenceStridePrefetcher ref(params);
+        std::vector<Addr> issued;
+        for (std::size_t i = 0; i < misses.size(); ++i) {
+            // Every fourth step is the first use of a line the engine
+            // asked for, as a prefetch hit would report it.
+            const bool use = !issued.empty() && i % 4 == 3;
+            const Addr addr = use ? issued[i % issued.size()] : misses[i];
+            std::vector<Addr> got;
+            std::vector<Addr> want;
+            if (use) {
+                const PrefetchList r = real.observeUse(addr, params.startup_prefetches);
+                got.assign(r.begin(), r.end());
+                want = ref.observeUse(addr, params.startup_prefetches);
+            } else {
+                const PrefetchList r =
+                    real.observeMiss(addr, params.startup_prefetches);
+                got.assign(r.begin(), r.end());
+                want = ref.observeMiss(addr, params.startup_prefetches);
+            }
+            ASSERT_EQ(got, want) << "miss " << i;
+            issued.insert(issued.end(), got.begin(), got.end());
+            if (issued.size() > 256)
+                issued.erase(issued.begin(), issued.begin() + 128);
+        }
+        EXPECT_EQ(encodeEngine(real), ref.encode());
+        EXPECT_GT(real.streamsAllocated(), 10u);
+    }
+}
+
+TEST(StridePrefetcherDiffTest, CheckpointRoundTripKeepsTrainedBehaviour)
+{
+    const std::vector<Addr> &misses = zeusMissStream();
+    const std::size_t train = misses.size() - 1000;
+    ASSERT_GT(train, 4000u);
+    const PrefetcherParams params = l2Params();
+    StridePrefetcher trained(params);
+    for (std::size_t i = 0; i < train; ++i)
+        trained.observeMiss(misses[i], params.startup_prefetches);
+
+    // Encode, decode into a fresh engine, encode again: the decoder
+    // rebuilds the tables' match keys and recency order from the
+    // entries alone, and must lose nothing the bytes carry.
+    const std::string bytes = encodeEngine(trained);
+    StridePrefetcher restored(params);
+    ckpt::Decoder d(bytes);
+    CheckpointCodec::decodePrefetcher(d, restored);
+    d.expectEnd("prefetcher");
+    ASSERT_EQ(encodeEngine(restored), bytes);
+
+    // ...and must behave exactly like the engine that never left
+    // memory, including its victim choices in full filter tables.
+    for (std::size_t i = train; i < misses.size(); ++i) {
+        const PrefetchList a =
+            trained.observeMiss(misses[i], params.startup_prefetches);
+        const PrefetchList b =
+            restored.observeMiss(misses[i], params.startup_prefetches);
+        ASSERT_EQ(std::vector<Addr>(a.begin(), a.end()),
+                  std::vector<Addr>(b.begin(), b.end()))
+            << "miss " << i;
+    }
+    EXPECT_EQ(encodeEngine(restored), encodeEngine(trained));
 }
 
 } // namespace
