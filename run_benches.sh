@@ -7,8 +7,10 @@
 # binary writes to its own temp file; sections are concatenated in
 # name order afterwards, so the combined output is identical at any
 # -j. A machine-readable BENCH_results.json (bench name, wall-clock
-# seconds, peak RSS, exit status) lands next to the text output so
-# later runs have a perf trajectory to compare against.
+# seconds, peak RSS, exit status) lands next to the text output. It
+# is a trajectory: each run appends one entry for its git_sha (a
+# rerun on the same tree replaces that entry), so runs on different
+# commits can be diffed. Merging the entry needs python3.
 #
 # The binaries themselves also parallelize internally across
 # CMPSIM_JOBS simulation workers; with -j > 1 you may want to set
@@ -176,7 +178,30 @@ esac
   echo
   echo "  ]"
   echo "}"
-} > "$json"
+} > "$tmpdir/entry.json"
+
+# The file is a trajectory: one entry per git_sha, oldest first. A
+# rerun on the same tree replaces that tree's entry. A file in the
+# older single-run format becomes the first entry.
+python3 - "$json" "$tmpdir/entry.json" <<'PY' || exit 1
+import json, os, sys
+path, entry_path = sys.argv[1], sys.argv[2]
+with open(entry_path) as f:
+    entry = json.load(f)
+try:
+    with open(path) as f:
+        runs = json.load(f)
+except FileNotFoundError:
+    runs = []
+if isinstance(runs, dict):
+    runs = [runs]
+runs = [r for r in runs if r.get("git_sha") != entry["git_sha"]]
+runs.append(entry)
+with open(path + ".tmp", "w") as f:
+    json.dump(runs, f, indent=2)
+    f.write("\n")
+os.replace(path + ".tmp", path)
+PY
 
 if [ "$overall" -ne 0 ]; then
   echo "run_benches.sh: some benches failed (see $json)" | tee -a "$out" >&2

@@ -157,6 +157,17 @@ L2Cache::onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when)
     }
 }
 
+TagEntry &
+L2Cache::promoteHit(unsigned cpu, DecoupledSet &set, TagEntry &e,
+                    bool pf_hit, Cycle when)
+{
+    if (!pf_hit)
+        return set.touch(e);
+    const Addr line = e.line;
+    onPrefetchBitHit(cpu, e, when);
+    return set.touch(line);
+}
+
 void
 L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
                 Cycle when, Done done)
@@ -190,10 +201,8 @@ L2Cache::lookup(unsigned cpu, Addr line, bool exclusive, ReqType type,
         if (type == ReqType::Demand)
             updateGcp(set, line, e->segments < kSegmentsPerLine);
 
-        if (e->prefetch && type == ReqType::Demand)
-            onPrefetchBitHit(cpu, *e, when);
-
-        set.touch(line);
+        promoteHit(cpu, set, *e, e->prefetch && type == ReqType::Demand,
+                   when);
         Cycle ready = when + params_.lookup_latency +
                       (penalized ? params_.decompression_latency : 0);
         if (journal_ != nullptr) {
@@ -589,13 +598,12 @@ L2Cache::accessFunctional(unsigned cpu, Addr line, bool exclusive,
         if (type == ReqType::Demand) {
             ++demand_hits_;
             updateGcp(set, line, e->segments < kSegmentsPerLine);
-            // Anchor stream-advance prefetches at the current cycle
-            // (0 during warmup) so a mid-run fast-forward never
-            // schedules into the past.
-            if (e->prefetch)
-                onPrefetchBitHit(cpu, *e, eq_.now());
         }
-        e = &set.touch(line);
+        // Anchor stream-advance prefetches at the current cycle (0
+        // during warmup) so a mid-run fast-forward never schedules
+        // into the past.
+        e = &promoteHit(cpu, set, *e,
+                        e->prefetch && type == ReqType::Demand, eq_.now());
         if (exclusive) {
             for (unsigned c = 0; c < params_.cores; ++c) {
                 if (c != cpu && e->hasSharer(c) && l1_invalidate_)

@@ -304,6 +304,15 @@ class L2Cache
     /** First demand touch of a prefetched line. */
     void onPrefetchBitHit(unsigned cpu, TagEntry &e, Cycle when);
 
+    /**
+     * Make the hit entry @p e MRU in @p set without scanning it again.
+     * A demand hit on a prefetched line (@p pf_hit) first advances the
+     * line's stream, whose prefetches may move the set, so the line is
+     * found anew then. Returns the entry at its new place.
+     */
+    TagEntry &promoteHit(unsigned cpu, DecoupledSet &set, TagEntry &e,
+                         bool pf_hit, Cycle when);
+
     /** Update the adaptive-compression predictor on a hit. */
     void updateGcp(const DecoupledSet &set, Addr line,
                    bool compressed_line);

@@ -723,27 +723,27 @@ CheckpointCodec::saveWorkload()
     ckpt::Encoder e;
     e.u32(static_cast<std::uint32_t>(sys_.streams_.size()));
     for (const auto &wp : sys_.streams_) {
-        const SyntheticWorkload &w = *wp;
-        for (std::uint64_t word : w.rng_.state_)
+        const SyntheticWorkload::Cursor &c = wp->cursor();
+        for (std::uint64_t word : c.rng.state_)
             e.u64(word);
-        e.u64(w.pc_);
-        e.u64(w.repeat_line_);
-        e.u32(w.repeat_left_);
-        e.boolean(w.last_was_loop_);
-        e.u32(static_cast<std::uint32_t>(w.streams_.size()));
-        for (const auto &st : w.streams_) {
+        e.u64(c.pc);
+        e.u64(c.repeat_line);
+        e.u32(c.repeat_left);
+        e.boolean(c.last_was_loop);
+        e.u32(static_cast<std::uint32_t>(c.streams.size()));
+        for (const auto &st : c.streams) {
             e.u64(st.cur);
             e.i64(st.stride);
             e.u64(st.remaining);
         }
-        e.u32(static_cast<std::uint32_t>(w.recent_bases_.size()));
-        for (Addr base : w.recent_bases_)
+        e.u32(static_cast<std::uint32_t>(c.recent_bases.size()));
+        for (Addr base : c.recent_bases)
             e.u64(base);
         // Loop layout (base, shuffled order, cum_weight) is a pure
         // function of (params, seed) and replays in the constructor;
         // only the walk cursor is state.
-        e.u32(static_cast<std::uint32_t>(w.loops_.size()));
-        for (const auto &loop : w.loops_) {
+        e.u32(static_cast<std::uint32_t>(c.loops.size()));
+        for (const auto &loop : c.loops) {
             e.u64(loop.pos);
             e.u32(loop.on_record);
         }
@@ -758,32 +758,33 @@ CheckpointCodec::loadWorkload(ckpt::Decoder &d)
     if (n != sys_.streams_.size())
         throw ckpt::CorruptCheckpoint("workload stream count mismatch");
     for (auto &wp : sys_.streams_) {
-        SyntheticWorkload &w = *wp;
-        for (std::uint64_t &word : w.rng_.state_)
+        SyntheticWorkload::Cursor c = wp->cursor();
+        for (std::uint64_t &word : c.rng.state_)
             word = d.u64();
-        w.pc_ = d.u64();
-        w.repeat_line_ = d.u64();
-        w.repeat_left_ = d.u32();
-        w.last_was_loop_ = d.boolean();
+        c.pc = d.u64();
+        c.repeat_line = d.u64();
+        c.repeat_left = d.u32();
+        c.last_was_loop = d.boolean();
         const std::uint32_t nstreams = d.u32();
-        if (nstreams != w.streams_.size())
+        if (nstreams != c.streams.size())
             throw ckpt::CorruptCheckpoint("stride-stream count mismatch");
-        for (auto &st : w.streams_) {
+        for (auto &st : c.streams) {
             st.cur = d.u64();
             st.stride = static_cast<int>(d.i64());
             st.remaining = d.u64();
         }
-        w.recent_bases_.clear();
+        c.recent_bases.clear();
         const std::uint32_t nbases = d.u32();
         for (std::uint32_t i = 0; i < nbases; ++i)
-            w.recent_bases_.push_back(d.u64());
+            c.recent_bases.push_back(d.u64());
         const std::uint32_t nloops = d.u32();
-        if (nloops != w.loops_.size())
+        if (nloops != c.loops.size())
             throw ckpt::CorruptCheckpoint("loop count mismatch");
-        for (auto &loop : w.loops_) {
+        for (auto &loop : c.loops) {
             loop.pos = d.u64();
             loop.on_record = d.u32();
         }
+        wp->setCursor(c);
     }
 }
 

@@ -85,6 +85,8 @@ class Random
     std::uint64_t
     zipf(std::uint64_t n, double s);
 
+    bool operator==(const Random &) const = default;
+
   private:
     friend class CheckpointCodec; // serializes the raw generator state
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/audit/audits.h"
+#include "src/mem/skip_log.h"
 #include "src/obs/cpi_stack.h"
 #include "src/sim/fault_injection.h"
 
@@ -308,7 +309,7 @@ CoreModel::runFunctional(std::uint64_t count)
 }
 
 void
-CoreModel::runSkip(std::uint64_t count)
+CoreModel::runSkip(std::uint64_t count, SkipLog &log)
 {
     for (std::uint64_t i = 0; i < count; ++i) {
         const Instruction in = stream_.next();
@@ -323,8 +324,7 @@ CoreModel::runSkip(std::uint64_t count)
             break;
           case InstrType::Store:
             ++stores_;
-            values_.writeWord(in.addr & ~static_cast<Addr>(3),
-                              in.store_value);
+            log.write(in.addr & ~static_cast<Addr>(3), in.store_value);
             break;
           case InstrType::Branch:
             ++branches_;
@@ -336,6 +336,26 @@ CoreModel::runSkip(std::uint64_t count)
         }
         ++retired_;
     }
+}
+
+CoreModel::SkipState
+CoreModel::skipState() const
+{
+    return {retired_.value(),  loads_.value(),        stores_.value(),
+            branches_.value(), mispredicts_.value(), ifetch_lines_.value(),
+            last_fetch_line_};
+}
+
+void
+CoreModel::restoreSkipState(const SkipState &s)
+{
+    retired_.restore(s.retired);
+    loads_.restore(s.loads);
+    stores_.restore(s.stores);
+    branches_.restore(s.branches);
+    mispredicts_.restore(s.mispredicts);
+    ifetch_lines_.restore(s.ifetch_lines);
+    last_fetch_line_ = s.last_fetch_line;
 }
 
 void
@@ -350,13 +370,7 @@ CoreModel::adoptSkip(const CoreModel &leader, std::uint64_t count,
     // systems were never in lockstep at all.
     const std::uint64_t gap = leader.retired_.value() - retired_.value();
     cmpsim_assert(gap + slack >= count && gap <= count + slack);
-    retired_.restore(leader.retired_.value());
-    loads_.restore(leader.loads_.value());
-    stores_.restore(leader.stores_.value());
-    branches_.restore(leader.branches_.value());
-    mispredicts_.restore(leader.mispredicts_.value());
-    ifetch_lines_.restore(leader.ifetch_lines_.value());
-    last_fetch_line_ = leader.last_fetch_line_;
+    restoreSkipState(leader.skipState());
 }
 
 Cycle &

@@ -34,6 +34,7 @@ namespace cmpsim {
 
 class CpiAccount;
 class InvariantRegistry;
+class SkipLog;
 
 /** Static core configuration (Table 1). */
 struct CoreParams
@@ -78,18 +79,39 @@ class CoreModel
      * — identical RNG draws, value-store first touches and store
      * writes as runFunctional(), so a later functional or detailed
      * phase continues the exact same workload — but with no cache or
-     * prefetcher state updates. The cheap half of a SMARTS-style
-     * skip+warm fast-forward (DESIGN.md §14).
+     * prefetcher state updates. Stores go to @p log, not the value
+     * store; the stream's first touches go wherever its skip log
+     * routes them (SyntheticWorkload::setSkipLog). The cheap half of
+     * a SMARTS-style skip+warm fast-forward (DESIGN.md §14).
      */
-    void runSkip(std::uint64_t count);
+    void runSkip(std::uint64_t count, SkipLog &log);
+
+    /** What runSkip() advances besides the stream: the retirement and
+     *  stream-content counters and the fetch cursor. */
+    struct SkipState
+    {
+        std::uint64_t retired = 0;
+        std::uint64_t loads = 0;
+        std::uint64_t stores = 0;
+        std::uint64_t branches = 0;
+        std::uint64_t mispredicts = 0;
+        std::uint64_t ifetch_lines = 0;
+        Addr last_fetch_line = kAddrInvalid;
+        bool operator==(const SkipState &) const = default;
+    };
+
+    SkipState skipState() const;
+
+    /** Put runSkip()'s counters and fetch cursor back to @p s (a
+     *  parallel skip's rollback, DESIGN.md §14). */
+    void restoreSkipState(const SkipState &s);
 
     /**
      * Adopt the outcome of a pure-skip phase a lockstep twin executed
      * on this core's behalf (shared-prefix fast-forward, DESIGN.md
-     * §14): copy the fetch cursor and the stream-content counters
-     * runSkip() would have advanced, resynchronizing this core to the
-     * leader's instruction index. The caller separately copies the
-     * workload generator state and replays the twin's value-store
+     * §14): take the leader's skipState(), resynchronizing this core
+     * to the leader's instruction index. The caller separately copies
+     * the workload generator state and replays the twin's value-store
      * journal; @p count is the per-core skip length just executed and
      * @p slack the per-core drift a timed detail window can introduce
      * (its total budget) — the twins' retirement gap is asserted to be

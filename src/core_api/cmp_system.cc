@@ -273,11 +273,14 @@ CmpSystem::buildSystem()
         // Statistical sampling (DESIGN.md §14): the fast-forward
         // engine exists only when a plan is armed so unsampled runs
         // register no extra stats and their dumps stay byte-identical.
-        std::vector<CoreModel *> raw;
-        for (auto &core : cores_)
-            raw.push_back(core.get());
-        ff_engine_ = std::make_unique<FastForwardEngine>(std::move(raw),
-                                                         *l2_);
+        std::vector<CoreModel *> cores;
+        std::vector<SyntheticWorkload *> streams;
+        for (unsigned c = 0; c < config_.cores; ++c) {
+            cores.push_back(cores_[c].get());
+            streams.push_back(streams_[c].get());
+        }
+        ff_engine_ = std::make_unique<FastForwardEngine>(
+            std::move(cores), std::move(streams), *values_, *l2_);
         ff_engine_->registerStats(registry_, "sample");
         // Conservation: functional execution must retire exactly the
         // budget handed out — a skipped or double-counted instruction

@@ -95,6 +95,10 @@ class CmpSystem
     L1Cache &l1i(unsigned cpu) { return *l1i_[cpu]; }
     L1Cache &l1d(unsigned cpu) { return *l1d_[cpu]; }
     CoreModel &core(unsigned cpu) { return *cores_[cpu]; }
+    const SyntheticWorkload &stream(unsigned cpu) const
+    {
+        return *streams_[cpu];
+    }
     StatRegistry &stats() { return registry_; }
     AdaptivePrefetchController &l2Adaptive() { return *l2_adaptive_; }
 
@@ -176,6 +180,19 @@ class CmpSystem
      */
     SampleState &sampleState() { return sample_state_; }
     const SampleState &sampleState() const { return sample_state_; }
+
+    /**
+     * Host threads a pure-skip window may use, this thread included
+     * (FastForwardEngine::setSkipThreads; 0 = hardware concurrency).
+     * A skip's outcome is the same at every count. No-op when
+     * config.sampling is not armed.
+     */
+    void
+    setSkipThreads(unsigned threads)
+    {
+        if (ff_engine_ != nullptr)
+            ff_engine_->setSkipThreads(threads);
+    }
 
     /** The fast-forward engine, or nullptr when config.sampling is
      *  not armed. */

@@ -149,9 +149,10 @@ runSampled(CmpSystem &sys)
 
 RunResult
 runOnce(const SystemConfig &config, const std::string &benchmark,
-        const RunLengths &lengths)
+        const RunLengths &lengths, unsigned skip_threads)
 {
     CmpSystem sys(config, benchmarkParams(benchmark));
+    sys.setSkipThreads(skip_threads);
     sys.warmup(lengths.warmup_per_core);
     if (config.sampling.armed())
         return runSampled(sys);

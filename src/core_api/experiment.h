@@ -110,10 +110,13 @@ std::uint64_t envUint64Or(const char *name, std::uint64_t fallback);
  * of one contiguous lengths.measure_per_core window (which is then
  * ignored — the plan's detail_per_core defines the measured length)
  * and RunResult::sampled carries the per-interval CIs.
+ * @p skip_threads bounds the host threads of the plan's skip windows
+ * (CmpSystem::setSkipThreads; 0 = hardware concurrency); it changes
+ * only the speed.
  */
 RunResult runOnce(const SystemConfig &config,
                   const std::string &benchmark,
-                  const RunLengths &lengths);
+                  const RunLengths &lengths, unsigned skip_threads = 0);
 
 /** Multi-seed aggregate of a metric extracted per run. */
 struct MetricSummary

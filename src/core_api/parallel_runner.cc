@@ -425,12 +425,16 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
     // Scope the pool so its destructor joins the workers even if
     // wait() rethrows (it shouldn't: tasks catch internally).
     ThreadPool pool(jobs);
+    // Concurrent points share the host: each sampled point's skip
+    // windows get an equal slice of it.
+    const unsigned skip_threads = std::max(
+        1u, std::max(1u, std::thread::hardware_concurrency()) / jobs);
     for (unsigned attempt = 1;
          attempt <= max_attempts && !round.empty(); ++attempt) {
         for (const std::size_t t : round) {
             pool.submit([&points, &policy, &batch, &failures, &tasks,
                          &fps, &pending, &journal, &tasks_done,
-                         total_tasks, t, attempt] {
+                         total_tasks, skip_threads, t, attempt] {
                 const Task &task = tasks[t];
                 TaskFailure &slot = failures[t];
                 slot.failed = false;
@@ -451,7 +455,7 @@ runPointsChecked(const std::vector<PointSpec> &points, unsigned jobs,
                     config.seed = task.seed_idx + 1;
                     batch.summaries[task.point].runs[task.seed_idx] =
                         runOnce(config, points[task.point].benchmark,
-                                points[task.point].lengths);
+                                points[task.point].lengths, skip_threads);
                 } catch (const SimError &e) {
                     slot.failed = true;
                     slot.kind = e.kind();

@@ -113,6 +113,7 @@ class ValueStore
         LineData data;       ///< whole-line payload (whole_line only)
         std::uint32_t word;  ///< store value (word writes only)
         bool whole_line;
+        bool operator==(const Op &) const = default;
     };
 
     /** Start recording every setLine()/writeWord() into a journal.

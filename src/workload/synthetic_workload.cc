@@ -1,5 +1,6 @@
 #include "src/workload/synthetic_workload.h"
 
+#include "src/mem/skip_log.h"
 #include "src/sim/fault_injection.h"
 
 namespace cmpsim {
@@ -13,10 +14,11 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
                                      ValueStore &values, unsigned cpu,
                                      std::uint64_t seed)
     : params_(params), values_(values), value_gen_(params.values),
-      cpu_(cpu),
-      rng_(seed * 0x9e3779b97f4a7c15ULL + cpu * 0x100000001b3ULL + 1),
-      pc_(layout::kCodeBase), streams_(params.stream_count)
+      cpu_(cpu)
 {
+    cur_.rng.reseed(seed * 0x9e3779b97f4a7c15ULL +
+                    cpu * 0x100000001b3ULL + 1);
+    cur_.streams.resize(params.stream_count);
     faultSite("workload.gen");
     cmpsim_assert(params.load_frac + params.store_frac +
                       params.branch_frac <=
@@ -24,8 +26,8 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
     cmpsim_assert(!params.stride_bytes.empty());
     cmpsim_assert(params.stream_len_min > 0 &&
                   params.stream_len_min <= params.stream_len_max);
-    recent_bases_.reserve(kRecentBases + 1);
-    for (auto &s : streams_)
+    cur_.recent_bases.reserve(kRecentBases + 1);
+    for (auto &s : cur_.streams)
         resetStream(s);
 
     // Lay the permuted loops out past the private zipf region.
@@ -49,60 +51,61 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
         for (std::uint64_t i = 0; i < lines; ++i)
             loop.order[i] = static_cast<std::uint32_t>(i);
         for (std::uint64_t i = lines - 1; i > 0; --i) {
-            const auto j = rng_.below(i + 1);
+            const auto j = cur_.rng.below(i + 1);
             std::swap(loop.order[i], loop.order[j]);
         }
-        loop.pos = rng_.below(lines);
+        cur_.loops.push_back({cur_.rng.below(lines), 0});
         cum += spec.weight / total_weight;
         loop.cum_weight = cum;
-        loops_.push_back(loop);
+        loops_.push_back(std::move(loop));
     }
 
     // Cores start at different code offsets (they are different
     // threads of the same program).
-    pc_ = layout::kCodeBase +
-          (rng_.below(params_.i_footprint / 4) * 4);
+    cur_.pc = layout::kCodeBase +
+              (cur_.rng.below(params_.i_footprint / 4) * 4);
+}
+
+SyntheticWorkload::Cursor
+SyntheticWorkload::cursorSlot() const
+{
+    Cursor c = cur_;
+    c.recent_bases.reserve(kRecentBases + 1);
+    return c;
+}
+
+void
+SyntheticWorkload::setCursor(const Cursor &c)
+{
+    cmpsim_assert(c.streams.size() == cur_.streams.size());
+    cmpsim_assert(c.loops.size() == cur_.loops.size());
+    cur_ = c;
 }
 
 void
 SyntheticWorkload::copyStateFrom(const SyntheticWorkload &other)
 {
     cmpsim_assert(cpu_ == other.cpu_);
-    cmpsim_assert(loops_.size() == other.loops_.size());
-    rng_ = other.rng_;
-    pc_ = other.pc_;
-    repeat_line_ = other.repeat_line_;
-    repeat_left_ = other.repeat_left_;
-    last_was_loop_ = other.last_was_loop_;
-    streams_ = other.streams_;
-    recent_bases_ = other.recent_bases_;
-    // Loop layout (base, order, cum_weight) is a pure function of
-    // params and seed, identical across twins — only the cursors move.
-    for (std::size_t i = 0; i < loops_.size(); ++i) {
-        loops_[i].pos = other.loops_[i].pos;
-        loops_[i].on_record = other.loops_[i].on_record;
-    }
+    setCursor(other.cur_);
 }
 
 Addr
 SyntheticWorkload::advanceLoop()
 {
     cmpsim_assert(!loops_.empty());
-    const double u = rng_.uniform();
-    Loop *loop = &loops_.back();
-    for (auto &l : loops_) {
-        if (u < l.cum_weight) {
-            loop = &l;
-            break;
-        }
+    const double u = cur_.rng.uniform();
+    std::size_t i = 0;
+    while (i + 1 < loops_.size() && !(u < loops_[i].cum_weight))
+        ++i;
+    const Loop &loop = loops_[i];
+    LoopPos &at = cur_.loops[i];
+    if (at.on_record == 0) {
+        at.pos = (at.pos + 1) % loop.order.size();
+        at.on_record = params_.loop_record;
     }
-    if (loop->on_record == 0) {
-        loop->pos = (loop->pos + 1) % loop->order.size();
-        loop->on_record = params_.loop_record;
-    }
-    --loop->on_record;
-    return loop->base + loop->order[loop->pos] * kLineBytes +
-           rng_.below(kWordsPerLine) * 4;
+    --at.on_record;
+    return loop.base + loop.order[at.pos] * kLineBytes +
+           cur_.rng.below(kWordsPerLine) * 4;
 }
 
 Addr
@@ -114,8 +117,11 @@ SyntheticWorkload::privateBase() const
 void
 SyntheticWorkload::touchLine(Addr addr)
 {
-    values_.setLineIfAbsent(addr,
-                            [this] { return value_gen_.generate(rng_); });
+    const auto make = [this] { return value_gen_.generate(cur_.rng); };
+    if (skip_log_ != nullptr)
+        skip_log_->touch(values_, addr, make);
+    else
+        values_.setLineIfAbsent(addr, make);
 }
 
 void
@@ -124,10 +130,10 @@ SyntheticWorkload::resetStream(Stream &s)
     const std::uint64_t region =
         params_.ws_stream > 0 ? params_.ws_stream : params_.ws_private;
     const std::uint64_t ws_lines = region / kLineBytes;
-    s.stride = params_.stride_bytes[rng_.below(
+    s.stride = params_.stride_bytes[cur_.rng.below(
         params_.stride_bytes.size())];
     const std::uint64_t len_lines =
-        rng_.inRange(params_.stream_len_min, params_.stream_len_max);
+        cur_.rng.inRange(params_.stream_len_min, params_.stream_len_max);
 
     // Accesses needed to traverse len_lines lines at this stride.
     const auto abs_stride =
@@ -149,13 +155,13 @@ SyntheticWorkload::resetStream(Stream &s)
     // Streams get their own region, placed beyond the loops.
     const Addr stream_base = privateBase() + 0x2000'0000ULL;
     Addr start;
-    if (!recent_bases_.empty() && rng_.chance(params_.stream_reuse)) {
-        start = recent_bases_[rng_.below(recent_bases_.size())];
+    if (!cur_.recent_bases.empty() && cur_.rng.chance(params_.stream_reuse)) {
+        start = cur_.recent_bases[cur_.rng.below(cur_.recent_bases.size())];
     } else {
-        start = stream_base + rng_.below(max_start) * kLineBytes;
-        recent_bases_.push_back(start);
-        if (recent_bases_.size() > kRecentBases)
-            recent_bases_.erase(recent_bases_.begin());
+        start = stream_base + cur_.rng.below(max_start) * kLineBytes;
+        cur_.recent_bases.push_back(start);
+        if (cur_.recent_bases.size() > kRecentBases)
+            cur_.recent_bases.erase(cur_.recent_bases.begin());
     }
     if (s.stride < 0)
         start += span_lines * kLineBytes - kLineBytes;
@@ -165,23 +171,23 @@ SyntheticWorkload::resetStream(Stream &s)
 Addr
 SyntheticWorkload::pickDataAddr()
 {
-    last_was_loop_ = false;
+    cur_.last_was_loop = false;
     // Finish the current record first (multi-word object accesses).
-    if (repeat_left_ > 0) {
-        --repeat_left_;
+    if (cur_.repeat_left > 0) {
+        --cur_.repeat_left;
         const Addr paddr =
-            repeat_line_ + rng_.below(kWordsPerLine) * 4;
+            cur_.repeat_line + cur_.rng.below(kWordsPerLine) * 4;
         return paddr;
     }
 
-    const double u = rng_.uniform();
+    const double u = cur_.rng.uniform();
     Addr vaddr;
     bool record = false;
     if (u < params_.stride_frac) {
-        Stream &s = streams_[rng_.below(streams_.size())];
+        Stream &s = cur_.streams[cur_.rng.below(cur_.streams.size())];
         if (s.remaining == 0)
             resetStream(s);
-        last_was_loop_ = rng_.chance(params_.stream_chain);
+        cur_.last_was_loop = cur_.rng.chance(params_.stream_chain);
         vaddr = s.cur & ~static_cast<Addr>(3);
         s.cur = static_cast<Addr>(static_cast<std::int64_t>(s.cur) +
                                   s.stride);
@@ -189,32 +195,32 @@ SyntheticWorkload::pickDataAddr()
     } else if (u < params_.stride_frac + params_.shared_frac) {
         const std::uint64_t lines = params_.ws_shared / kLineBytes;
         vaddr = layout::kSharedBase +
-                rng_.zipf(lines, params_.zipf_s) * kLineBytes +
-                rng_.below(kWordsPerLine) * 4;
+                cur_.rng.zipf(lines, params_.zipf_s) * kLineBytes +
+                cur_.rng.below(kWordsPerLine) * 4;
         record = true;
     } else if (!loops_.empty() &&
                u < params_.stride_frac + params_.shared_frac +
                        params_.loop_frac) {
         vaddr = advanceLoop();
-        last_was_loop_ = true;
-    } else if (rng_.chance(params_.hot_frac)) {
+        cur_.last_was_loop = true;
+    } else if (cur_.rng.chance(params_.hot_frac)) {
         // Hot per-core structures at the front of the private region.
         const std::uint64_t lines = params_.ws_hot / kLineBytes;
-        vaddr = privateBase() + rng_.zipf(lines, 0.8) * kLineBytes +
-                rng_.below(kWordsPerLine) * 4;
+        vaddr = privateBase() + cur_.rng.zipf(lines, 0.8) * kLineBytes +
+                cur_.rng.below(kWordsPerLine) * 4;
         record = true;
     } else {
         const std::uint64_t lines = params_.ws_private / kLineBytes;
         vaddr = privateBase() +
-                rng_.zipf(lines, params_.zipf_s) * kLineBytes +
-                rng_.below(kWordsPerLine) * 4;
+                cur_.rng.zipf(lines, params_.zipf_s) * kLineBytes +
+                cur_.rng.below(kWordsPerLine) * 4;
         record = true;
     }
     const Addr paddr = layout::translate(vaddr);
     touchLine(paddr);
     if (record && params_.record_accesses > 1) {
-        repeat_line_ = lineAddr(paddr);
-        repeat_left_ = params_.record_accesses - 1;
+        cur_.repeat_line = lineAddr(paddr);
+        cur_.repeat_left = params_.record_accesses - 1;
     }
     return paddr;
 }
@@ -223,40 +229,40 @@ Instruction
 SyntheticWorkload::next()
 {
     Instruction in;
-    in.pc = layout::translate(pc_);
+    in.pc = layout::translate(cur_.pc);
 
-    Addr next_pc = pc_ + 4;
-    const double u = rng_.uniform();
+    Addr next_pc = cur_.pc + 4;
+    const double u = cur_.rng.uniform();
     if (u < params_.branch_frac) {
         in.type = InstrType::Branch;
-        in.mispredict = rng_.chance(params_.mispredict_rate);
-        if (rng_.chance(params_.branch_far_frac)) {
+        in.mispredict = cur_.rng.chance(params_.mispredict_rate);
+        if (cur_.rng.chance(params_.branch_far_frac)) {
             // Jump targets are reused (loops, hot functions).
             const std::uint64_t code_lines =
                 params_.i_footprint / kLineBytes;
             next_pc = layout::kCodeBase +
-                      rng_.zipf(code_lines, params_.code_zipf) *
+                      cur_.rng.zipf(code_lines, params_.code_zipf) *
                           kLineBytes +
-                      rng_.below(kLineBytes / 4) * 4;
+                      cur_.rng.below(kLineBytes / 4) * 4;
         }
     } else if (u < params_.branch_frac + params_.load_frac) {
         in.type = InstrType::Load;
         in.addr = pickDataAddr();
-        in.chained = last_was_loop_;
+        in.chained = cur_.last_was_loop;
     } else if (u <
                params_.branch_frac + params_.load_frac +
                    params_.store_frac) {
         in.type = InstrType::Store;
         in.addr = pickDataAddr();
-        in.store_value = value_gen_.generateWord(rng_);
-        in.chained = last_was_loop_;
+        in.store_value = value_gen_.generateWord(cur_.rng);
+        in.chained = cur_.last_was_loop;
     } else {
         in.type = InstrType::Alu;
     }
 
     if (next_pc >= layout::kCodeBase + params_.i_footprint)
         next_pc = layout::kCodeBase;
-    pc_ = next_pc;
+    cur_.pc = next_pc;
     return in;
 }
 

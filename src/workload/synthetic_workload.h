@@ -60,10 +60,48 @@ translate(Addr vaddr)
 }
 } // namespace layout
 
+class SkipLog;
+
 /** One core's synthetic instruction stream. */
 class SyntheticWorkload : public InstructionStream
 {
   public:
+    /** A stride stream: the next address, its stride and lifetime. */
+    struct Stream
+    {
+        Addr cur = 0;
+        int stride = 8;
+        std::uint64_t remaining = 0; // accesses left
+        bool operator==(const Stream &) const = default;
+    };
+
+    /** Where one permuted loop's walk stands. */
+    struct LoopPos
+    {
+        std::uint64_t pos = 0;
+        unsigned on_record = 0; // accesses left on the current line
+        bool operator==(const LoopPos &) const = default;
+    };
+
+    /**
+     * The generator's position: everything next() advances. The loop
+     * layout (bases, visit orders, weights) is a pure function of
+     * params and seed, so only each loop's walk position is here.
+     * Assigning one cursor to another reuses the target's vectors.
+     */
+    struct Cursor
+    {
+        Random rng;
+        Addr pc = layout::kCodeBase;
+        Addr repeat_line = 0;     ///< record being re-touched
+        unsigned repeat_left = 0; ///< further touches of that record
+        bool last_was_loop = false; ///< marks chained (pointer) accesses
+        std::vector<Stream> streams;
+        std::vector<Addr> recent_bases; ///< for stream_reuse
+        std::vector<LoopPos> loops;
+        bool operator==(const Cursor &) const = default;
+    };
+
     /**
      * @param params workload description (already scaled)
      * @param values backing store to populate on first touch
@@ -77,32 +115,41 @@ class SyntheticWorkload : public InstructionStream
 
     const WorkloadParams &params() const { return params_; }
 
+    const Cursor &cursor() const { return cur_; }
+
+    /** A copy of cursor() with room for any later cursor of this
+     *  stream: assigning cursor() into it allocates nothing. */
+    Cursor cursorSlot() const;
+
+    /** Move this stream to @p c, a cursor of an instance built with
+     *  the same params, cpu and seed (asserted by shape). */
+    void setCursor(const Cursor &c);
+
     /**
-     * Copy the generator cursor (RNG, pc, stream/loop positions,
-     * record state) from a lockstep twin — another instance built
-     * with the same params/cpu/seed that has advanced further. After
-     * the copy this stream produces exactly the instructions the twin
-     * would produce next. The follower half of shared-prefix
-     * fast-forward (DESIGN.md §14).
+     * Copy the generator cursor from a lockstep twin — another
+     * instance built with the same params/cpu/seed that has advanced
+     * further. After the copy this stream produces exactly the
+     * instructions the twin would produce next. The follower half of
+     * shared-prefix fast-forward (DESIGN.md §14).
      */
     void copyStateFrom(const SyntheticWorkload &other);
 
+    /**
+     * Route first touches to @p log instead of the value store
+     * (parallel skip, DESIGN.md §14): a touch reads the store, then
+     * the log's lines; only a line absent from both draws its value,
+     * into the log. nullptr restores direct first touches.
+     */
+    void setSkipLog(SkipLog *log) { skip_log_ = log; }
+
   private:
-    friend class CheckpointCodec; // serializes RNG + generator cursor
+    friend class CheckpointCodec; // serializes the cursor
 
-    struct Stream
-    {
-        Addr cur = 0;
-        int stride = 8;
-        std::uint64_t remaining = 0; // accesses left
-    };
-
+    /** One permuted loop's fixed layout. */
     struct Loop
     {
         Addr base = 0;
         std::vector<std::uint32_t> order; ///< shuffled line visit order
-        std::uint64_t pos = 0;
-        unsigned on_record = 0; // accesses left on the current line
         double cum_weight = 0;  // cumulative selection threshold
     };
 
@@ -117,22 +164,16 @@ class SyntheticWorkload : public InstructionStream
     /** Ensure the line holding @p addr has values. */
     void touchLine(Addr addr);
 
+    /** Advance one permuted loop and return the touched address. */
+    Addr advanceLoop();
+
     WorkloadParams params_;
     ValueStore &values_;
     ValueGenerator value_gen_;
     unsigned cpu_;
-    Random rng_;
-
-    /** Advance one permuted loop and return the touched address. */
-    Addr advanceLoop();
-
-    Addr pc_;
-    Addr repeat_line_ = 0;     ///< record being re-touched
-    unsigned repeat_left_ = 0; ///< further touches of that record
-    bool last_was_loop_ = false; ///< marks chained (pointer) accesses
-    std::vector<Stream> streams_;
-    std::vector<Addr> recent_bases_; ///< for stream_reuse
-    std::vector<Loop> loops_;
+    Cursor cur_;
+    std::vector<Loop> loops_; ///< layout; cur_.loops holds the walk
+    SkipLog *skip_log_ = nullptr;
 };
 
 } // namespace cmpsim

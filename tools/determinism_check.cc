@@ -29,10 +29,11 @@
  * hash.
  *
  * A fourth leg checks the statistical sampling engine (DESIGN.md
- * Section 14): a sampled run must reproduce across runner worker
- * counts (jobs 1 vs 4 on the published summaries) and across a
- * mid-plan checkpoint/restore, which decodes the state at the last
- * fast-forward's drain and replays only from there.
+ * Section 14): a sampled run must reproduce across skip thread
+ * counts (1 vs 4 host threads for the pure-skip windows), across
+ * runner worker counts (jobs 1 vs 4 on the published summaries) and
+ * across a mid-plan checkpoint/restore, which decodes the state at
+ * the last fast-forward's drain and replays only from there.
  *
  *   determinism_check [workload ...]      # default: zeus apsi
  *
@@ -205,6 +206,7 @@ checkCheckpointResume(const std::vector<std::string> &workloads,
 /**
  * Statistical-sampling leg (DESIGN.md Section 14): a sampled run must
  * be as reproducible as a full-detail one. Checks, per workload:
+ * skip threads 1 == 4 on the stats hash, then
  * a fresh system resumed from a mid-plan autosave finishing with the
  * straight-run stats hash, and jobs 1 == 4 on the published summary
  * of a sampled batch. Returns 0 on success, 1 on any divergence.
@@ -229,8 +231,10 @@ checkSampledRuns(const std::vector<std::string> &workloads)
     if (sample_env != nullptr)
         unsetenv("CMPSIM_SAMPLE_CYCLES");
 
-    // Direct sampled run -> stats hash.
-    const auto sampledOnce = [&](const std::string &workload) {
+    // Direct sampled run -> stats hash (skip windows on
+    // skip_threads host threads; 0 = the host's default).
+    const auto sampledOnce = [&](const std::string &workload,
+                                 unsigned skip_threads = 0) {
         SystemConfig cfg = makeConfig(/*cores=*/4, /*scale=*/4,
                                       /*cache_compression=*/true,
                                       /*link_compression=*/true,
@@ -240,6 +244,7 @@ checkSampledRuns(const std::vector<std::string> &workloads)
         cfg.audit_interval = 10000;
         cfg.sampling = SamplingPlan::parse(kPlan);
         CmpSystem sys(cfg, benchmarkParams(workload));
+        sys.setSkipThreads(skip_threads);
         sys.warmup(20000);
         SamplingController(sys).run();
         std::ostringstream out;
@@ -253,6 +258,22 @@ checkSampledRuns(const std::vector<std::string> &workloads)
     const std::string path = "determinism_check_sampled_ckpt.bin";
     for (const std::string &w : workloads) {
         const std::uint64_t h1 = sampledOnce(w);
+
+        // Parallel skip: the windows' outcome is the serial one at
+        // any host thread count.
+        const std::uint64_t one = sampledOnce(w, 1);
+        const std::uint64_t four = sampledOnce(w, 4);
+        if (one == four) {
+            std::printf("determinism_check: %-8s ok    %016llx "
+                        "(sampled: skip threads 1 == 4)\n",
+                        w.c_str(), static_cast<unsigned long long>(one));
+        } else {
+            std::printf("determinism_check: %-8s FAIL  sampled "
+                        "%016llx != %016llx (skip threads 1 vs 4)\n",
+                        w.c_str(), static_cast<unsigned long long>(one),
+                        static_cast<unsigned long long>(four));
+            status = 1;
+        }
 
         // Mid-plan checkpoint: autosave while running to completion,
         // then resume a fresh system from the last (mid-plan)
